@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
-from scipy.optimize import minimize_scalar
+from scipy import linalg, signal
 
 from .constants import K_B
 from .errors import AnalysisError
@@ -262,34 +261,22 @@ def _band_matrix(p11, p22, p12, freqs, band):
     return np.array([[a11, a12], [a12, a22]])
 
 
-def _leak_ratio(theta, num, den):
-    v = np.array([math.cos(theta), -math.sin(theta)])
-    top = v @ num @ v
-    bot = v @ den @ v
-    return top / bot if bot > 0 else np.inf
+def _mixing_ratio(num, den):
+    """Mixing ratio r = tan(theta) of the combination v = (cos theta, -sin theta)
+    that minimizes the band-power ratio (v num v) / (v den v).
 
-
-def _scan_ratio(num, den):
-    """Minimize the band-power ratio of a*s1 - b*s2 over the mixing angle.
-
-    Coarse grid over theta = atan(r) followed by bounded local refinement;
-    deterministic.  Returns the mixing ratio r = tan(theta_opt).
+    The minimum of that Rayleigh quotient is the smallest generalized
+    eigenvalue of (num, den); r follows from its eigenvector.
     """
-    thetas = np.linspace(-0.5 * math.pi + 1e-3, 0.5 * math.pi - 1e-3, 3601)
-    vals = np.array([_leak_ratio(t, num, den) for t in thetas])
-    k = int(np.argmin(vals))
-    if k == 0 or k == len(thetas) - 1:
+    try:
+        _, vecs = linalg.eigh(num, den)
+    except linalg.LinAlgError as exc:
+        raise AnalysisError(f"leakage minimization failed: {exc}") from None
+    v0, v1 = vecs[:, 0]
+    # |theta| >= pi/2 - 1e-3: s1 carries almost no weight and r diverges
+    if abs(v0) <= math.sin(1e-3) * math.hypot(v0, v1):
         raise AnalysisError("leakage minimum at the scan edge; modes not separable")
-    res = minimize_scalar(
-        _leak_ratio,
-        args=(num, den),
-        bounds=(thetas[k - 1], thetas[k + 1]),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    if not res.success:
-        raise AnalysisError(f"leakage refinement failed: {res.message}")
-    return math.tan(res.x)
+    return float(-v1 / v0)
 
 
 def fit_r_pm(s1, s2, sample_rate, segment_length=None, overlap=0.5, window="hann"):
@@ -336,8 +323,8 @@ def fit_r_pm(s1, s2, sample_rate, segment_length=None, overlap=0.5, window="hann
     a_lo = _band_matrix(p11, p22, p12, freqs, band_lo)
     a_hi = _band_matrix(p11, p22, p12, freqs, band_hi)
     # the low-frequency mode carries the "plus" label for a repulsive pair
-    r_minus = _scan_ratio(a_hi, a_lo)
-    r_plus = _scan_ratio(a_lo, a_hi)
+    r_minus = _mixing_ratio(a_hi, a_lo)
+    r_plus = _mixing_ratio(a_lo, a_hi)
 
     traces = project_modes(s1, s2, r_plus, r_minus)
     psd_p = welch_psd(traces.z_plus, sample_rate, segment_length, overlap, window)

@@ -12,17 +12,19 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
 
-from .config import AnalysisSettings, load_config, parse_config, serialize_config
-from .dynamics import Trajectory
+from .config import load_config, parse_config, serialize_config
+from .dynamics import Trajectory, write_columns
 from .errors import ConfigError, CotrapError
 from .report import analyze_trajectory, report_to_text, run_experiment
-from .trap import ParticleSpec, TrapConfig, mode_structure, stability_params
+from .trap import mode_structure, stability_params
 
 _PLOT_STUB = """\
 #!/usr/bin/env python3
@@ -55,16 +57,12 @@ print("wrote plots")
 
 def _write_psd_csv(path, psd):
     with open(path, "w") as fh:
-        fh.write("frequency_hz,psd_m2_per_hz\n")
-        for f, v in zip(psd.frequencies, psd.values):
-            fh.write(f"{f!r},{v!r}\n")
+        write_columns(fh, ("frequency_hz", "psd_m2_per_hz"), (psd.frequencies, psd.values))
 
 
 def _write_quadrature_csv(path, quad):
     with open(path, "w") as fh:
-        fh.write("t_s,x_m,y_m\n")
-        for t, x, y in zip(quad.t, quad.x, quad.y):
-            fh.write(f"{t!r},{x!r},{y!r}\n")
+        write_columns(fh, ("t_s", "x_m", "y_m"), (quad.t, quad.x, quad.y))
 
 
 def _write_record(path, record):
@@ -154,10 +152,10 @@ def _set_by_path(raw, path, value):
         node[last] = value
 
 
-def _sweep_one(raw, path, value, seed, rundir):
+def _sweep_one(raw, path, value, rundir):
     raw_i = json.loads(json.dumps(raw))
     _set_by_path(raw_i, path, value)
-    cfg = parse_config(raw_i, seed_override=seed)
+    cfg = parse_config(raw_i)
     rundir.mkdir(parents=True, exist_ok=True)
     result = run_experiment(cfg)
     _write_run_outputs(rundir, cfg, result)
@@ -176,7 +174,7 @@ _SWEEP_COLUMNS = (
 def _sweep_row(value, report, error=None):
     row = {"value": value, "status": "ok" if error is None else "failed"}
     if error is not None:
-        row["error"] = str(error)
+        row["error"] = f"{type(error).__name__}: {error}"
         return row
     for key, section in _SWEEP_COLUMNS:
         item = report.get(section, {}).get(key)
@@ -192,39 +190,38 @@ def _sweep_row(value, report, error=None):
     return row
 
 
+def _sweep_point(value, outcome):
+    """sweep.csv row of one point; `outcome()` returns its report or raises."""
+    try:
+        return _sweep_row(value, outcome())
+    except Exception as exc:  # a failed point must not lose the finished rows
+        if not isinstance(exc, CotrapError):
+            traceback.print_exception(exc, file=sys.stderr)
+        return _sweep_row(value, None, error=exc)
+
+
 def cmd_sweep(args):
     cfg = load_config(args.config, seed_override=args.seed)
     if cfg.sweep is None:
         raise ConfigError("configuration has no 'sweep' section")
     out = _outdir(args)
-    raw = cfg.resolved
-    master = cfg.run.seed
-    seeds = [int(s) for s in
-             np.random.SeedSequence(master).generate_state(len(cfg.sweep.values), np.uint64)]
+    # every point reuses the resolved noise and detection seeds: common
+    # random numbers, so differences between points come from the parameter
+    values = cfg.sweep.values
+    jobs = [(cfg.resolved, cfg.sweep.parameter, value, out / f"run_{i:03d}")
+            for i, value in enumerate(values)]
     workers = args.workers if args.workers is not None else cfg.sweep.workers
-    jobs = [
-        (raw, cfg.sweep.parameter, value, seeds[i], out / f"run_{i:03d}")
-        for i, value in enumerate(cfg.sweep.values)
-    ]
     rows = [None] * len(jobs)
-    failures = 0
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_sweep_one, *job): i for i, job in enumerate(jobs)}
             for fut in concurrent.futures.as_completed(futures):
                 i = futures[fut]
-                try:
-                    rows[i] = _sweep_row(cfg.sweep.values[i], fut.result())
-                except CotrapError as exc:
-                    rows[i] = _sweep_row(cfg.sweep.values[i], None, error=exc)
-                    failures += 1
+                rows[i] = _sweep_point(values[i], fut.result)
     else:
         for i, job in enumerate(jobs):
-            try:
-                rows[i] = _sweep_row(cfg.sweep.values[i], _sweep_one(*job))
-            except CotrapError as exc:
-                rows[i] = _sweep_row(cfg.sweep.values[i], None, error=exc)
-                failures += 1
+            rows[i] = _sweep_point(values[i], functools.partial(_sweep_one, *job))
+    failures = sum(row["status"] != "ok" for row in rows)
     columns = ["value", "status"]
     for row in rows:
         for key in row:
@@ -244,19 +241,9 @@ def cmd_analyze(args):
     snap = traj.meta.get("config")
     if snap is None:
         raise ConfigError(f"{args.trajectory} carries no embedded configuration")
-    if "trap" in snap and "v0" in snap["trap"]:
-        # raw simulate() snapshot with field names matching the dataclasses
-        trap = TrapConfig(**snap["trap"])
-        parts = tuple(
-            ParticleSpec(charge_e=p["charge_e"], mass=p["mass"], gamma0=p["gamma0"])
-            for p in snap["particles"]
-        )
-        settings = AnalysisSettings()
-    else:
-        cfg = parse_config(snap)
-        trap, parts, settings = cfg.trap, cfg.particles, cfg.analysis
-    modes = mode_structure(trap, *parts)
-    report, psds, _ = analyze_trajectory(traj, modes, parts[0], parts[1], settings)
+    cfg = parse_config(snap)
+    modes = mode_structure(cfg.trap, *cfg.particles)
+    report, psds, _ = analyze_trajectory(traj, modes, *cfg.particles, cfg.analysis)
     out = _outdir(args)
     for name, psd in psds.items():
         _write_psd_csv(out / f"psd_{name}.csv", psd)

@@ -9,9 +9,11 @@ identity.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.signal import get_window
 
 from .dynamics import NoiseModel
 from .errors import ConfigError
@@ -100,9 +102,16 @@ def _number(section, data, key, default=None):
     if key not in data:
         return default
     val = data[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"key '{key}' in section '{section}' must be a number")
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+        raise ConfigError(f"key '{key}' in section '{section}' must be a finite number")
     return float(val)
+
+
+def _boolean(section, data, key, default):
+    val = data.get(key, default)
+    if not isinstance(val, bool):
+        raise ConfigError(f"key '{key}' in section '{section}' must be a boolean")
+    return val
 
 
 def _integer(section, data, key, default=None):
@@ -112,6 +121,20 @@ def _integer(section, data, key, default=None):
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"key '{key}' in section '{section}' must be an integer")
     return val
+
+
+def _window(section, data, key, default):
+    val = data.get(key, default)
+    if isinstance(val, str):
+        try:
+            get_window(val, 16)
+            return val
+        except ValueError:
+            pass
+    raise ConfigError(
+        f"key '{key}' in section '{section}' must name a scipy.signal window "
+        f"that takes no parameters, got {val!r}"
+    )
 
 
 @dataclass
@@ -237,9 +260,6 @@ def _parse_controller(idx, data):
         gain = _number(section, data, "gain_s2")
         if gain is None:
             raise ConfigError(f"missing required key 'gain_s2' in section '{section}'")
-    notch = data.get("notch", True)
-    if not isinstance(notch, bool):
-        raise ConfigError(f"key 'notch' in section '{section}' must be a boolean")
     return ControllerSettings(
         kind=kind,
         target_mode=target,
@@ -249,7 +269,7 @@ def _parse_controller(idx, data):
         delay_samples=_integer(section, data, "delay_samples"),
         drive_phase=_number(section, data, "drive_phase_rad", 0.0),
         drive_freq=_number(section, data, "drive_freq_rad_per_s"),
-        notch=notch,
+        notch=_boolean(section, data, "notch", True),
         notch_bandwidth=_number(section, data, "notch_bandwidth_rad_per_s"),
         force_limit=_number(section, data, "force_limit_newtons", float("inf")),
     )
@@ -287,7 +307,7 @@ def parse_config(raw, seed_override=None):
         substeps=_integer("run", r, "substeps_per_sample"),
         seed=seed,
         store_every=_integer("run", r, "store_every", 1),
-        coulomb_coupling=bool(r.get("coulomb_coupling", True)),
+        coulomb_coupling=_boolean("run", r, "coulomb_coupling", True),
     )
     if run.duration <= 0 or run.sample_rate <= 0 or run.substeps < 1:
         raise ConfigError("run settings must be positive (duration, sample rate, substeps)")
@@ -338,8 +358,8 @@ def parse_config(raw, seed_override=None):
             burn_in=_number("analysis", a, "burn_in_seconds"),
             segment_seconds=_number("analysis", a, "segment_seconds"),
             overlap=_number("analysis", a, "overlap", 0.5),
-            window=a.get("window", "hann"),
-            fit_mixing_ratios=bool(a.get("fit_mixing_ratios", True)),
+            window=_window("analysis", a, "window", "hann"),
+            fit_mixing_ratios=_boolean("analysis", a, "fit_mixing_ratios", True),
             demod_bandwidth=_number("analysis", a, "demod_bandwidth_rad_per_s"),
         )
 

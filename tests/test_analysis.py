@@ -162,6 +162,31 @@ class TestFitRPm:
         assert fit_b.r_plus == pytest.approx(fit_a.r_plus, rel=1e-9)
         assert fit_b.r_minus == pytest.approx(fit_a.r_minus, rel=1e-9)
 
+    def test_ratio_is_the_dense_minimum(self):
+        # the band-power ratio of s1 cos(theta) - s2 sin(theta), minimized
+        # by brute force over a dense theta grid, against the fitted r
+        from cotrap.analysis import _mixing_ratio
+
+        def ratio(theta, num, den):
+            v = np.array([np.cos(theta), -np.sin(theta)])
+            return np.einsum("i...,ij,j...->...", v, num, v) / np.einsum(
+                "i...,ij,j...->...", v, den, v)
+
+        rng = np.random.default_rng(18)
+        thetas = np.linspace(-0.5 * np.pi, 0.5 * np.pi, 200001)
+        step = thetas[1] - thetas[0]
+        for _ in range(8):
+            a, b = rng.standard_normal((2, 2, 4))
+            num, den = a @ a.T, b @ b.T
+            r = _mixing_ratio(num, den)
+            vals = ratio(thetas, num, den)
+            best = thetas[np.argmin(vals)]
+            assert abs(np.arctan(r) - best) <= step
+            assert ratio(np.arctan(r), num, den) <= vals.min() * (1 + 1e-12)
+        # minimum at theta = +-pi/2: the s1 weight vanishes
+        with pytest.raises(AnalysisError, match="scan edge"):
+            _mixing_ratio(np.diag([2.0, 1.0]), np.eye(2))
+
     def test_unresolved_peaks_rejected(self):
         rng = np.random.default_rng(16)
         s1 = rng.standard_normal(2**14)

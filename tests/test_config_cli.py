@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cotrap import cli
 from cotrap.cli import main
 from cotrap.config import parse_config, serialize_config
 from cotrap.errors import ConfigError
@@ -148,11 +149,23 @@ class TestCliModes:
         assert float(record["z_sep_m"]) == pytest.approx(198e-6, abs=2e-6)
 
     def test_config_error_exit_code(self, tmp_path, capsys):
-        raw = base_config()
-        raw["trap"]["bogus_key"] = 1.0
-        path = write_config(tmp_path, raw)
-        assert main(["modes", "--config", str(path)]) == 2
-        assert "bogus_key" in capsys.readouterr().err
+        cases = [
+            ("trap", "bogus_key", 1.0),
+            ("run", "duration_seconds", float("nan")),
+            ("noise", "t0_kelvin", float("inf")),
+            ("trap", "u0_volts", float("-inf")),
+            ("run", "coulomb_coupling", "false"),
+            ("analysis", "fit_mixing_ratios", 0),
+            ("analysis", "window", "nosuch"),
+            ("analysis", "window", "kaiser"),
+        ]
+        for section, key, value in cases:
+            raw = base_config()
+            raw.setdefault(section, {})[key] = value
+            # json.dumps writes NaN and Infinity, which json.load reads back
+            path = write_config(tmp_path, raw)
+            assert main(["modes", "--config", str(path)]) == 2, (key, value)
+            assert f"'{key}'" in capsys.readouterr().err, (key, value)
 
     def test_instability_exit_code(self, tmp_path, capsys):
         raw = base_config()
@@ -160,6 +173,33 @@ class TestCliModes:
         raw["particles"][1]["charge_e"] = -906
         path = write_config(tmp_path, raw)
         assert main(["modes", "--config", str(path)]) == 3
+
+
+def simulate_capturing(monkeypatch, path, out):
+    """Run `cotrap simulate` and return the in-memory ExperimentResult."""
+    captured = []
+    write = cli._write_run_outputs
+
+    def capture(outdir, cfg, result):
+        captured.append(result)
+        write(outdir, cfg, result)
+
+    monkeypatch.setattr(cli, "_write_run_outputs", capture)
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    return captured[0]
+
+
+def assert_numeric_csvs_exact(out, result):
+    """Every PSD and quadrature CSV loads back bit for bit."""
+    for name, psd in result.psds.items():
+        f, v = np.loadtxt(out / f"psd_{name}.csv", delimiter=",", skiprows=1, unpack=True)
+        assert np.array_equal(f, psd.frequencies) and np.array_equal(v, psd.values), name
+    for name, quads in result.quadratures.items():
+        for suffix, quad in zip(("", "_reference"), quads):
+            t, x, y = np.loadtxt(out / f"quadratures_{name}{suffix}.csv", delimiter=",",
+                                 skiprows=1, unpack=True)
+            assert np.array_equal(t, quad.t), name + suffix
+            assert np.array_equal(x, quad.x) and np.array_equal(y, quad.y), name + suffix
 
 
 class TestCliSimulate:
@@ -186,7 +226,7 @@ class TestCliSimulate:
                      "--seed", "999"]) == 0
         assert (out_a / "trajectory.csv").read_bytes() != (out_b / "trajectory.csv").read_bytes()
 
-    def test_damper_run_report(self, tmp_path):
+    def test_damper_run_report(self, tmp_path, monkeypatch):
         raw = base_config()
         raw["run"]["duration_seconds"] = 30.0
         raw["controllers"] = [{
@@ -195,7 +235,7 @@ class TestCliSimulate:
         }]
         path = write_config(tmp_path, raw)
         out = tmp_path / "run"
-        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        result = simulate_capturing(monkeypatch, path, out)
         report = json.loads((out / "report.json").read_text())
         t_plus = report["measured"]["t_mode_plus_kelvin"]["value"]
         t_minus = report["measured"]["t_mode_minus_kelvin"]["value"]
@@ -204,8 +244,9 @@ class TestCliSimulate:
         assert report["controllers"][0]["kind"] == "velocity_damper"
         assert report["counters"]["saturation"] == [0]
         assert (out / "psd_in_loop.csv").exists()
+        assert_numeric_csvs_exact(out, result)
 
-    def test_squeezer_run_reports_threshold_flag(self, tmp_path):
+    def test_squeezer_run_reports_threshold_flag(self, tmp_path, monkeypatch):
         raw = base_config()
         raw["run"]["duration_seconds"] = 20.0
         raw["run"]["substeps_per_sample"] = 12
@@ -215,7 +256,7 @@ class TestCliSimulate:
         }]
         path = write_config(tmp_path, raw)
         out = tmp_path / "run"
-        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        result = simulate_capturing(monkeypatch, path, out)
         report = json.loads((out / "report.json").read_text())
         ctrl = report["controllers"][0]
         # gain over threshold 2*gamma0*omega_plus = 2*28*1495.5 = 8.37e4
@@ -223,6 +264,8 @@ class TestCliSimulate:
         assert ctrl["g"]["value"] == pytest.approx(2.4e5 / (2 * 28.0 * 1495.53), rel=1e-3)
         assert "squeezing" in report
         assert (out / "quadratures_particle1.csv").exists()
+        assert set(result.quadratures) == {"particle1", "particle2"}
+        assert_numeric_csvs_exact(out, result)
 
     def test_fault_exit_code(self, tmp_path, capsys):
         raw = base_config()
@@ -247,6 +290,7 @@ class TestCliSweep:
             "kind": "velocity_damper", "target_mode": "plus",
             "gamma_fb_rad_per_s": 0.0, "bandwidth_rad_per_s": 500.0,
         }]
+        raw["detection"] = {"s_nn_m2_per_hz": 1e-20}
         raw["sweep"] = {"parameter": "controllers.0.gamma_fb_rad_per_s",
                         "values": [0.0, 56.0, 280.0]}
         path = write_config(tmp_path, raw)
@@ -260,6 +304,12 @@ class TestCliSweep:
         assert temps[0] > temps[1] > temps[2]
         assert all(r["status"] == "'ok'" for r in rows)
         assert (out / "run_000" / "report.json").exists()
+        # common random numbers: every point runs on the same seeds
+        cfg = parse_config(raw)
+        for i in range(3):
+            resolved = json.loads((out / f"run_{i:03d}" / "resolved_config.json").read_text())
+            assert [resolved[s]["seed"] for s in ("run", "noise", "detection")] == [
+                4242, cfg.noise.seed, cfg.detection.seed]
 
     def test_partial_failure_exit_code(self, tmp_path):
         raw = base_config()
@@ -279,10 +329,19 @@ class TestCliSweep:
         assert "'failed'" in lines[2]
 
     def test_bad_parameter_path(self, tmp_path):
-        raw = base_config()
-        raw["sweep"] = {"parameter": "trap.nonexistent", "values": [1.0]}
-        path = write_config(tmp_path, raw)
-        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == 4
+        # a path error of any exception type becomes a failed row
+        for parameter, error in (("trap.nonexistent", "ConfigError"),
+                                 ("controllers.3.gamma_fb_rad_per_s", "IndexError")):
+            raw = base_config()
+            raw["controllers"] = [{"kind": "velocity_damper", "target_mode": "plus",
+                                   "gamma_fb_rad_per_s": 1.0}]
+            raw["sweep"] = {"parameter": parameter, "values": [1.0]}
+            path = write_config(tmp_path, raw)
+            out = tmp_path / error
+            assert main(["sweep", "--config", str(path), "--out", str(out)]) == 4
+            lines = (out / "sweep.csv").read_text().strip().splitlines()
+            assert len(lines) == 2
+            assert "'failed'" in lines[1] and error in lines[1]
 
 
 class TestCliAnalyze:

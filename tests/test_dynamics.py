@@ -177,8 +177,8 @@ class TestDeterminismAndIO:
         assert back.meta == traj.meta
 
     def test_csv_round_trip_controller_run(self, paper_trap, tmp_path):
-        # force and measurement columns, plus non-finite force limits in
-        # the metadata, must survive the text format exactly
+        # force and measurement columns and the controller metadata must
+        # survive the text format exactly
         from cotrap.feedback import DetectionModel, design_controller
 
         p1, p2 = make_pair(2135, 906, gamma0=28.0)
