@@ -2,9 +2,9 @@
 
 The functions here are written in scalar numpy style so that a single
 source serves two execution paths: the plain-Python reference path and a
-numba-jitted path.  Both consume identical pre-generated noise arrays, so
-they produce identical trajectories.  Set COTRAP_NO_NUMBA=1 to force the
-pure path (used by the benchmark and as a fallback when numba is absent).
+numba-jitted path.  numba is used exactly when it can be imported; the
+pure path stays reachable as run_block_python.  Both consume identical
+pre-generated noise arrays, so they produce identical trajectories.
 
 Controller state layout (one row / slot per controller):
   sos[s, :]      biquad coefficients b0, b1, b2, a1, a2 (a0 normalized out)
@@ -16,7 +16,6 @@ Controller state layout (one row / slot per controller):
   gain_n_per_m   output force per meter of processed signal, newtons
 """
 
-import os
 import types
 
 import numpy as np
@@ -28,11 +27,7 @@ FAULT_NONFINITE = 2
 KIND_DAMPER = 0
 KIND_SQUEEZER = 1
 
-NUMBA_DISABLED = os.environ.get("COTRAP_NO_NUMBA", "") not in ("", "0")
-
 try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled by COTRAP_NO_NUMBA")
     from numba import njit
 
     NUMBA_ENABLED = True
@@ -197,9 +192,8 @@ def _pure_copy(fn):
 
 
 # Reference (pure Python) entry points; the jitted names below are the
-# default execution path when numba is importable and not disabled.
+# default execution path when numba is importable.
 controller_step_python = controller_step
-controller_pass_python = _pure_copy(controller_pass)
 run_block_python = _pure_copy(run_block)
 
 if NUMBA_ENABLED:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import functools
 import json
 import sys
@@ -227,10 +228,11 @@ def cmd_sweep(args):
         for key in row:
             if key not in columns:
                 columns.append(key)
-    with open(out / "sweep.csv", "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(row[c]) if c in row else "" for c in columns) + "\n")
+    # repr() of every cell; csv quotes the cells that hold a comma
+    with open(out / "sweep.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([repr(row[c]) if c in row else "" for c in columns] for row in rows)
     print(f"sweep of {cfg.sweep.parameter}: {len(rows) - failures}/{len(rows)} runs ok")
     print(f"aggregated table: {out / 'sweep.csv'}")
     return 4 if failures else 0

@@ -98,13 +98,36 @@ def _check_keys(section, data, schema):
             raise ConfigError(f"missing required key '{key}' in section '{section}'")
 
 
-def _number(section, data, key, default=None):
+def _finite(section, key, val):
+    if not isinstance(val, bool) and isinstance(val, (int, float)):
+        try:
+            out = float(val)
+        except OverflowError:  # an integer beyond the float range
+            out = math.inf
+        if math.isfinite(out):
+            return out
+    raise ConfigError(f"key '{key}' in section '{section}' must be a finite number")
+
+
+# range checks applied at parse time, named by the text of the error message
+_BOUNDS = {
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+}
+
+
+def _bounded(section, key, val, bound):
+    if bound is not None and not _BOUNDS[bound](val):
+        raise ConfigError(f"key '{key}' in section '{section}' must be {bound}")
+    return val
+
+
+def _number(section, data, key, default=None, bound=None):
     if key not in data:
         return default
-    val = data[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
-        raise ConfigError(f"key '{key}' in section '{section}' must be a finite number")
-    return float(val)
+    return _bounded(section, key, _finite(section, key, data[key]), bound)
 
 
 def _boolean(section, data, key, default):
@@ -114,13 +137,13 @@ def _boolean(section, data, key, default):
     return val
 
 
-def _integer(section, data, key, default=None):
+def _integer(section, data, key, default=None, bound=None):
     if key not in data:
         return default
     val = data[key]
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"key '{key}' in section '{section}' must be an integer")
-    return val
+    return _bounded(section, key, val, bound)
 
 
 def _window(section, data, key, default):
@@ -204,27 +227,32 @@ def _parse_particle(idx, data, t0):
     charge = _integer(section, data, "charge_e")
     if charge is None:
         raise ConfigError(f"key 'charge_e' in section '{section}' must be an integer")
-    mass = _number(section, data, "mass_kg")
-    radius = _number(section, data, "radius_meters")
-    density = _number(section, data, "density_kg_per_m3")
-    if mass is None:
-        if radius is None or density is None:
-            raise ConfigError(
-                f"section '{section}' needs either 'mass_kg' or both "
-                "'radius_meters' and 'density_kg_per_m3'"
-            )
-        mass = (4.0 / 3.0) * np.pi * radius**3 * density
-    gamma0 = _number(section, data, "gamma0_rad_per_s")
-    pressure = _number(section, data, "pressure_mbar")
-    if gamma0 is None and pressure is not None:
-        if radius is None or density is None:
-            raise ConfigError(
-                f"section '{section}': 'pressure_mbar' needs 'radius_meters' "
-                "and 'density_kg_per_m3' for the drag model"
-            )
-        gamma0 = epstein_gamma(pressure * 100.0, radius, density, temperature=t0)
+    mass = _number(section, data, "mass_kg", bound="> 0")
+    radius = _number(section, data, "radius_meters", bound="> 0")
+    density = _number(section, data, "density_kg_per_m3", bound="> 0")
+    gamma0 = _number(section, data, "gamma0_rad_per_s", bound=">= 0")
+    pressure = _number(section, data, "pressure_mbar", bound=">= 0")
+    if mass is None and (radius is None or density is None):
+        raise ConfigError(
+            f"section '{section}' needs either 'mass_kg' or both "
+            "'radius_meters' and 'density_kg_per_m3'"
+        )
+    if gamma0 is None and pressure is not None and (radius is None or density is None):
+        raise ConfigError(
+            f"section '{section}': 'pressure_mbar' needs 'radius_meters' "
+            "and 'density_kg_per_m3' for the drag model"
+        )
+    try:
+        if mass is None:
+            mass = (4.0 / 3.0) * np.pi * radius**3 * density
+        if gamma0 is None and pressure is not None:
+            gamma0 = epstein_gamma(pressure * 100.0, radius, density, temperature=t0)
+    except (OverflowError, ZeroDivisionError):  # radius**3 overflows; r*rho or k_B*T underflow
+        mass = math.inf
     if gamma0 is None:
         gamma0 = 0.0
+    if not (math.isfinite(mass) and math.isfinite(gamma0)):
+        raise ConfigError(f"section '{section}': derived mass or damping rate is out of range")
     return ParticleSpec(charge_e=charge, mass=mass, gamma0=gamma0)
 
 
@@ -265,8 +293,8 @@ def _parse_controller(idx, data):
         target_mode=target,
         gain=gain,
         bandwidth=_number(section, data, "bandwidth_rad_per_s"),
-        order=_integer(section, data, "order", 1),
-        delay_samples=_integer(section, data, "delay_samples"),
+        order=_integer(section, data, "order", 1, bound=">= 1"),
+        delay_samples=_integer(section, data, "delay_samples", bound=">= 0"),
         drive_phase=_number(section, data, "drive_phase_rad", 0.0),
         drive_freq=_number(section, data, "drive_freq_rad_per_s"),
         notch=_boolean(section, data, "notch", True),
@@ -286,7 +314,7 @@ def parse_config(raw, seed_override=None):
         if key not in raw:
             raise ConfigError(f"missing required section '{key}'")
 
-    t = dict(raw["trap"])
+    t = raw["trap"]
     _check_keys("trap", t, _TRAP_KEYS)
     trap = TrapConfig(
         v0=_number("trap", t, "v0_volts"),
@@ -298,84 +326,89 @@ def parse_config(raw, seed_override=None):
         z0=_number("trap", t, "z0_meters"),
     )
 
-    r = dict(raw["run"])
+    r = raw["run"]
     _check_keys("run", r, _RUN_KEYS)
-    seed = seed_override if seed_override is not None else _integer("run", r, "seed")
+    if seed_override is None:
+        seed = _integer("run", r, "seed", bound=">= 0")
+    else:
+        seed = _bounded("run", "seed", seed_override, ">= 0")
     run = RunSettings(
         duration=_number("run", r, "duration_seconds"),
         sample_rate=_number("run", r, "sample_rate_hz"),
         substeps=_integer("run", r, "substeps_per_sample"),
         seed=seed,
-        store_every=_integer("run", r, "store_every", 1),
+        store_every=_integer("run", r, "store_every", 1, bound=">= 1"),
         coulomb_coupling=_boolean("run", r, "coulomb_coupling", True),
     )
     if run.duration <= 0 or run.sample_rate <= 0 or run.substeps < 1:
         raise ConfigError("run settings must be positive (duration, sample rate, substeps)")
 
-    n = dict(raw["noise"])
+    n = raw["noise"]
     _check_keys("noise", n, _NOISE_KEYS)
     noise_seed_child, det_seed_child = (
         int(s) for s in np.random.SeedSequence(run.seed).generate_state(2, np.uint64)
     )
-    noise_seed = _integer("noise", n, "seed", noise_seed_child)
-    fnoise = n.get("force_noise_psd_n2_per_hz", [0.0, 0.0])
-    if isinstance(fnoise, (int, float)):
-        fnoise = [float(fnoise), float(fnoise)]
-    if not isinstance(fnoise, list) or len(fnoise) != 2:
-        raise ConfigError("'force_noise_psd_n2_per_hz' must be a number or a pair")
+    psd_key = "force_noise_psd_n2_per_hz"
+    fnoise = n.get(psd_key, [0.0, 0.0])
+    if not isinstance(fnoise, list):
+        fnoise = [fnoise, fnoise]
+    if len(fnoise) != 2:
+        raise ConfigError(f"key '{psd_key}' in section 'noise' must be a number or a pair")
     noise = NoiseModel(
         t0=_number("noise", n, "t0_kelvin"),
-        seed=noise_seed,
-        force_noise_psd=(float(fnoise[0]), float(fnoise[1])),
+        seed=_integer("noise", n, "seed", noise_seed_child, bound=">= 0"),
+        force_noise_psd=tuple(_bounded("noise", psd_key, _finite("noise", psd_key, v), ">= 0")
+                              for v in fnoise),
     )
 
     particles_raw = raw["particles"]
     if not isinstance(particles_raw, list) or len(particles_raw) != 2:
         raise ConfigError("section 'particles' must list exactly two particles")
     particles = tuple(
-        _parse_particle(i, dict(p), noise.t0) for i, p in enumerate(particles_raw)
+        _parse_particle(i, p, noise.t0) for i, p in enumerate(particles_raw)
     )
 
     detection = None
     if "detection" in raw and raw["detection"] is not None:
-        d = dict(raw["detection"])
+        d = raw["detection"]
         _check_keys("detection", d, _DETECTION_KEYS)
         detection = DetectionModel(
             s_nn=_number("detection", d, "s_nn_m2_per_hz"),
             sample_rate=run.sample_rate,
-            seed=_integer("detection", d, "seed", det_seed_child),
+            seed=_integer("detection", d, "seed", det_seed_child, bound=">= 0"),
         )
 
-    controllers = [
-        _parse_controller(i, dict(c)) for i, c in enumerate(raw.get("controllers", []))
-    ]
+    controllers_raw = raw.get("controllers", [])
+    if not isinstance(controllers_raw, list):
+        raise ConfigError("section 'controllers' must be a list")
+    controllers = [_parse_controller(i, c) for i, c in enumerate(controllers_raw)]
 
     analysis = AnalysisSettings()
     if "analysis" in raw and raw["analysis"] is not None:
-        a = dict(raw["analysis"])
+        a = raw["analysis"]
         _check_keys("analysis", a, _ANALYSIS_KEYS)
         analysis = AnalysisSettings(
-            burn_in=_number("analysis", a, "burn_in_seconds"),
-            segment_seconds=_number("analysis", a, "segment_seconds"),
-            overlap=_number("analysis", a, "overlap", 0.5),
+            burn_in=_number("analysis", a, "burn_in_seconds", bound=">= 0"),
+            segment_seconds=_number("analysis", a, "segment_seconds", bound="> 0"),
+            overlap=_number("analysis", a, "overlap", 0.5, bound="in [0, 1)"),
             window=_window("analysis", a, "window", "hann"),
             fit_mixing_ratios=_boolean("analysis", a, "fit_mixing_ratios", True),
-            demod_bandwidth=_number("analysis", a, "demod_bandwidth_rad_per_s"),
+            demod_bandwidth=_number("analysis", a, "demod_bandwidth_rad_per_s", bound="> 0"),
         )
 
     sweep = None
     if "sweep" in raw and raw["sweep"] is not None:
-        s = dict(raw["sweep"])
+        s = raw["sweep"]
         _check_keys("sweep", s, _SWEEP_KEYS)
         values = s["values"]
-        if not isinstance(values, list) or not values or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-        ):
-            raise ConfigError("'sweep.values' must be a non-empty list of numbers")
+        if not isinstance(values, list) or not values:
+            raise ConfigError("key 'values' in section 'sweep' must be a non-empty list")
+        if not isinstance(s["parameter"], str):
+            raise ConfigError("key 'parameter' in section 'sweep' must be a string")
         sweep = SweepSettings(
-            parameter=str(s["parameter"]),
-            values=[float(v) for v in values],
-            workers=_integer("sweep", s, "workers", 1),
+            parameter=s["parameter"],
+            values=[_finite("sweep", "values", v) for v in values],
+            workers=_integer("sweep", s, "workers", 1, bound=">= 1"),
         )
 
     resolved = _resolve_raw(raw, run, noise, detection)

@@ -279,12 +279,6 @@ def simulate(trap, p1, p2, noise, controllers=(), *, duration, dt, sample_rate,
         omega_fast = max(omega_fast, cfg.center + 0.5 * cfg.bandwidth)
         if cfg.notch is not None:
             omega_fast = max(omega_fast, cfg.notch + 0.5 * cfg.notch_bandwidth)
-        if cfg.kind == "parametric_squeezer":
-            lo = cfg.drive_freq if cfg.drive_freq is not None else 2.0 * cfg.center
-            if lo >= np.pi * sample_rate:
-                raise ConfigError(
-                    f"parametric drive at {lo:.4g} rad/s exceeds the Nyquist rate"
-                )
     dt_max = 2.0 * np.pi / (50.0 * omega_fast)
     if dt > dt_max * (1 + 1e-9):
         raise ConfigError(
@@ -331,7 +325,7 @@ def simulate(trap, p1, p2, noise, controllers=(), *, duration, dt, sample_rate,
     if coulomb_coupling and state0.z2 <= state0.z1:
         raise ConfigError("initial state must have z2 > z1")
 
-    kset = feedback.build_kernel_set(controllers, sample_rate, p1.mass)
+    kset, info = feedback.build_kernel_set(controllers, sample_rate, p1.mass)
 
     pos = np.array([state0.z1, state0.z2])
     vel = np.array([state0.v1, state0.v2])
@@ -356,11 +350,7 @@ def simulate(trap, p1, p2, noise, controllers=(), *, duration, dt, sample_rate,
         fault, rel = _kernel.run_block(
             pos, vel, p1.mass, p2.mass, u1, u2, kq, coulomb_coupling,
             a1, b1, a2, b2, dt, n_sub, start, 1.0 / sample_rate,
-            thermal, det_sigma, det_noise,
-            kset.kind, kset.sos, kset.sos_off, kset.sos_state,
-            kset.dly_buf, kset.dly_len, kset.dly_pos,
-            kset.gain_n_per_m, kset.lo_omega, kset.lo_phase,
-            kset.force_limit, kset.sat_count, hold_force,
+            thermal, det_sigma, det_noise, *kset, hold_force,
             store_every, out_z1, out_z2, out_v1, out_v2, out_y, out_force,
         )
         if fault != _kernel.FAULT_NONE:
@@ -382,7 +372,7 @@ def simulate(trap, p1, p2, noise, controllers=(), *, duration, dt, sample_rate,
         "store_every": store_every,
         "seed": int(noise.seed),
         "saturation_counts": [int(c) for c in kset.sat_count],
-        "controller_info": kset.info,
+        "controller_info": info,
     }
     return Trajectory(
         sample_rate=sample_rate / store_every,

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,6 +120,10 @@ class ControllerConfig:
             raise ConfigError("sample_rate, center and bandwidth must be > 0")
         if self.center >= math.pi * self.sample_rate:
             raise ConfigError("bandpass center is above the Nyquist rate")
+        if self.kind == "parametric_squeezer" and self.drive_omega >= math.pi * self.sample_rate:
+            raise ConfigError(
+                f"parametric drive at {self.drive_omega:.4g} rad/s exceeds the Nyquist rate"
+            )
         if self.order < 1:
             raise ConfigError("order must be >= 1")
         if self.mass <= 0:
@@ -140,6 +145,11 @@ class ControllerConfig:
                     f"|{self.notch:.4g} - {self.center:.4g}| <= bandwidth {self.bandwidth:.4g}",
                     stacklevel=3,
                 )
+
+    @property
+    def drive_omega(self):
+        """Parametric drive frequency: drive_freq, else twice the center."""
+        return self.drive_freq if self.drive_freq is not None else 2.0 * self.center
 
 
 def _bandpass_section(center, bandwidth, fs):
@@ -225,16 +235,15 @@ def _resolve(cfg):
         info.update(delay_samples=delay, residual_phase=resid)
     else:
         delay = 0
-        lo_omega = cfg.drive_freq if cfg.drive_freq is not None else 2.0 * cfg.center
+        lo_omega = cfg.drive_omega
         lo_phase = cfg.drive_phase
         gain = -cfg.mass * cfg.gain / (proj_sq * abs(h_c) * zoh_gain)
         info.update(delay_samples=0, lo_omega=lo_omega, lo_phase=lo_phase)
     return sections, delay, gain, lo_omega, lo_phase, info
 
 
-@dataclass
-class KernelControllerSet:
-    """Flat controller state arrays consumed by the integration kernel."""
+class KernelControllerSet(NamedTuple):
+    """Flat controller state arrays, in the order the kernel takes them."""
 
     kind: np.ndarray
     sos: np.ndarray
@@ -248,7 +257,6 @@ class KernelControllerSet:
     lo_phase: np.ndarray
     force_limit: np.ndarray
     sat_count: np.ndarray
-    info: list = field(default_factory=list)
 
     def reset(self):
         self.sos_state[:] = 0.0
@@ -258,7 +266,8 @@ class KernelControllerSet:
 
 
 def build_kernel_set(configs, sample_rate, mass):
-    """Assemble kernel arrays for a list of controller configurations."""
+    """Kernel arrays for a list of controller configurations, plus one
+    resolved-design info dict per controller."""
     n = len(configs)
     all_sections = []
     offsets = [0]
@@ -303,8 +312,7 @@ def build_kernel_set(configs, sample_rate, mass):
         lo_phase=lo_p,
         force_limit=limits,
         sat_count=np.zeros(n, dtype=np.int64),
-        info=infos,
-    )
+    ), infos
 
 
 class Controller:
@@ -317,12 +325,8 @@ class Controller:
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self._set = build_kernel_set([cfg], cfg.sample_rate, cfg.mass)
+        self._set, (self.info,) = build_kernel_set([cfg], cfg.sample_rate, cfg.mass)
         self._t_next = 0.0
-
-    @property
-    def info(self):
-        return self._set.info[0]
 
     @property
     def saturation_count(self):
@@ -351,13 +355,8 @@ class Controller:
         y = np.ascontiguousarray(measured, dtype=float)
         if t0 is None:
             t0 = self._t_next
-        s = self._set
         out = np.empty((1, len(y)))
-        _kernel.controller_pass(
-            y, t0, 1.0 / self.cfg.sample_rate, s.kind, s.sos, s.sos_off,
-            s.sos_state, s.dly_buf, s.dly_len, s.dly_pos, s.gain_n_per_m,
-            s.lo_omega, s.lo_phase, s.force_limit, s.sat_count, out,
-        )
+        _kernel.controller_pass(y, t0, 1.0 / self.cfg.sample_rate, *self._set, out)
         self._t_next = t0 + len(y) / self.cfg.sample_rate
         return out[0]
 

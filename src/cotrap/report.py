@@ -43,27 +43,11 @@ class ExperimentResult:
 
 def resolve_controllers(config, modes):
     """Design ControllerConfigs for the raw controller requests."""
-    out = []
-    for cs in config.controllers:
-        out.append(
-            design_controller(
-                cs.kind,
-                modes,
-                cs.target_mode,
-                cs.gain,
-                config.run.sample_rate,
-                config.particles[0].mass,
-                bandwidth=cs.bandwidth,
-                order=cs.order,
-                delay_samples=cs.delay_samples,
-                drive_phase=cs.drive_phase,
-                drive_freq=cs.drive_freq,
-                notch=cs.notch,
-                notch_bandwidth=cs.notch_bandwidth,
-                force_limit=cs.force_limit,
-            )
-        )
-    return out
+    return [
+        design_controller(modes=modes, sample_rate=config.run.sample_rate,
+                          mass=config.particles[0].mass, **vars(cs))
+        for cs in config.controllers
+    ]
 
 
 def run_experiment(config):

@@ -1,5 +1,6 @@
 """Configuration validation, CLI subcommands, exit codes, reproducibility."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -149,6 +150,9 @@ class TestCliModes:
         assert float(record["z_sep_m"]) == pytest.approx(198e-6, abs=2e-6)
 
     def test_config_error_exit_code(self, tmp_path, capsys):
+        # (section, None for the top level; key; value; the name the error
+        # must quote, when it is not the key)
+        sweep = {"parameter": "noise.t0_kelvin", "values": [1.0, 2.0]}
         cases = [
             ("trap", "bogus_key", 1.0),
             ("run", "duration_seconds", float("nan")),
@@ -158,14 +162,27 @@ class TestCliModes:
             ("analysis", "fit_mixing_ratios", 0),
             ("analysis", "window", "nosuch"),
             ("analysis", "window", "kaiser"),
+            ("noise", "force_noise_psd_n2_per_hz", ["abc", 0]),
+            ("noise", "force_noise_psd_n2_per_hz", [float("nan"), 0]),
+            (None, "trap", 5),
+            (None, "controllers", 5),
+            ("particles", 0, 3, "particles[0]"),
+            ("run", "seed", -1),
+            ("run", "store_every", 0),
+            ("analysis", "overlap", 1.5),
+            ("analysis", "segment_seconds", -1),
+            (None, "sweep", dict(sweep, values=[1.0, float("nan")]), "values"),
+            (None, "sweep", dict(sweep, values=[float("inf")]), "values"),
+            (None, "sweep", dict(sweep, values=[float("-inf")]), "values"),
         ]
-        for section, key, value in cases:
+        for section, key, value, *name in cases:
             raw = base_config()
-            raw.setdefault(section, {})[key] = value
+            (raw if section is None else raw.setdefault(section, {}))[key] = value
             # json.dumps writes NaN and Infinity, which json.load reads back
             path = write_config(tmp_path, raw)
             assert main(["modes", "--config", str(path)]) == 2, (key, value)
-            assert f"'{key}'" in capsys.readouterr().err, (key, value)
+            quoted = name[0] if name else key
+            assert f"'{quoted}'" in capsys.readouterr().err, (key, value)
 
     def test_instability_exit_code(self, tmp_path, capsys):
         raw = base_config()
@@ -327,6 +344,21 @@ class TestCliSweep:
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 3
         assert "'failed'" in lines[2]
+
+    def test_failed_row_reads_back_as_csv(self, tmp_path):
+        # an error message holding commas stays one quoted cell
+        raw = base_config()
+        raw["sweep"] = {"parameter": "run.duration_seconds", "values": [1.0, -1.0]}
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 4
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        assert None not in rows[1]
+        assert rows[1]["status"] == "'failed'"
+        assert rows[1]["error"] == repr(
+            "ConfigError: run settings must be positive (duration, sample rate, substeps)")
 
     def test_bad_parameter_path(self, tmp_path):
         # a path error of any exception type becomes a failed row

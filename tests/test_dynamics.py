@@ -14,10 +14,10 @@ from cotrap import (
     thermal_kick_scale,
     welch_psd,
 )
-from cotrap import _kernel
+from cotrap import _kernel, dynamics
 from cotrap.constants import K_B
 from cotrap.dynamics import Trajectory, ou_coefficients, total_energy
-from cotrap.trap import axial_stiffness
+from cotrap.feedback import Controller, DetectionModel, design_controller, detect
 
 from conftest import make_pair
 
@@ -179,8 +179,6 @@ class TestDeterminismAndIO:
     def test_csv_round_trip_controller_run(self, paper_trap, tmp_path):
         # force and measurement columns and the controller metadata must
         # survive the text format exactly
-        from cotrap.feedback import DetectionModel, design_controller
-
         p1, p2 = make_pair(2135, 906, gamma0=28.0)
         ms = mode_structure(paper_trap, p1, p2)
         cfg = design_controller("velocity_damper", ms, "plus", 50.0, FS, p1.mass)
@@ -209,56 +207,100 @@ class TestDeterminismAndIO:
         assert np.array_equal(b.z1, a.z1[4::5])
 
 
+def controller_sets(trap):
+    """Particle 1 of the characterised pair plus named controller lists."""
+    p1, p2 = make_pair(2135, 906, gamma0=28.0)
+    ms = mode_structure(trap, p1, p2)
+
+    def design(kind, gain, **kw):
+        return design_controller(kind, ms, "plus", gain, FS, p1.mass, **kw)
+
+    damper = design("velocity_damper", 50.0, notch=False)
+    squeezer = design("parametric_squeezer", 2.4e4, notch=False)
+    return {
+        "damper": [damper],
+        "squeezer": [squeezer],
+        "notch": [design("velocity_damper", 50.0)],
+        "saturation": [design("velocity_damper", 50.0, force_limit=2e-17)],
+        "damper+squeezer": [damper, squeezer],
+    }
+
+
+DETECTION = DetectionModel(s_nn=1e-15, sample_rate=FS, seed=3)
+
+
+def closed_loop(trap, controllers=(), **kw):
+    """1 s of the characterised pair with detection noise on particle 1."""
+    p1, p2 = make_pair(2135, 906, gamma0=28.0)
+    return simulate(trap, p1, p2, NoiseModel(t0=293.0, seed=9), controllers,
+                    duration=1.0, dt=DT, sample_rate=FS, detection=DETECTION, **kw)
+
+
+def assert_same_run(a, b):
+    for name in ("z1", "z2", "v1", "v2", "y", "forces"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.meta == b.meta
+
+
 class TestKernelParity:
-    def test_python_and_jit_paths_agree(self, paper_trap, ref_pair):
+    def test_python_and_jit_paths_agree(self, paper_trap, monkeypatch):
+        # one test looping over the cases, so that without numba it is one skip
         if not _kernel.NUMBA_ENABLED:
             pytest.skip("numba path not active")
-        p1, p2 = make_pair(2135, 906, gamma0=28.0)
-        u1 = axial_stiffness(paper_trap, p1)
-        u2 = axial_stiffness(paper_trap, p2)
-        from cotrap.constants import EPSILON_0
-        from cotrap.dynamics import thermal_equilibrium_state
-        from cotrap.feedback import build_kernel_set, design_controller
+        ms = mode_structure(paper_trap, *make_pair(2135, 906))
+        cases = [(name, dict(controllers=c), None)
+                 for name, c in controller_sets(paper_trap).items()]
+        cases += [
+            ("non-finite fault", dict(initial_state=(ms.z1_eq, ms.z2_eq, 0.0, np.nan)),
+             "non-finite"),
+            ("crossing fault", dict(initial_state=(ms.z1_eq, ms.z2_eq, 1e3, -1e3)),
+             "crossed"),
+        ]
+        for name, kw, fault in cases:
+            runs = []
+            for kernel in (_kernel.run_block, _kernel.run_block_python):
+                with monkeypatch.context() as m:
+                    m.setattr(_kernel, "run_block", kernel)
+                    if fault is None:
+                        runs.append(closed_loop(paper_trap, **kw))
+                        continue
+                    with pytest.raises(IntegrationFault, match=fault) as exc:
+                        closed_loop(paper_trap, **kw)
+                    runs.append(exc.value.time)
+            if fault is None:
+                assert_same_run(*runs)
+            else:
+                assert runs[0] == runs[1], name
 
-        ms = mode_structure(paper_trap, p1, p2)
-        kq = p1.charge * p2.charge / (4 * np.pi * EPSILON_0)
-        dt = DT
-        a1, b1 = ou_coefficients(p1, 293.0, dt)
-        a2, b2 = ou_coefficients(p2, 293.0, dt)
-        cfg = design_controller("velocity_damper", ms, "plus", 28.0, FS,
-                                p1.mass, bandwidth=800.0)
-        n = 4000
-        results = []
-        for fn in (_kernel.run_block_python, _kernel.run_block):
-            rng = np.random.default_rng(99)
-            state = thermal_equilibrium_state(paper_trap, p1, p2, 293.0, rng)
-            kset = build_kernel_set([cfg], FS, p1.mass)
-            pos = np.array([state.z1, state.z2])
-            vel = np.array([state.v1, state.v2])
-            thermal = rng.standard_normal((n, 10, 2))
-            det = rng.standard_normal(n)
-            outs = [np.empty(n) for _ in range(5)]
-            out_f = np.empty((1, n))
-            hold = np.zeros(1)
-            fault, _ = fn(
-                pos, vel, p1.mass, p2.mass, u1, u2, kq, True,
-                a1, b1, a2, b2, dt, 10, 0, 1.0 / FS,
-                thermal, 1e-9, det,
-                kset.kind, kset.sos, kset.sos_off, kset.sos_state,
-                kset.dly_buf, kset.dly_len, kset.dly_pos,
-                kset.gain_n_per_m, kset.lo_omega, kset.lo_phase,
-                kset.force_limit, kset.sat_count, hold, 1,
-                *outs, out_f,
-            )
-            assert fault == 0
-            results.append((pos.copy(), vel.copy(), [o.copy() for o in outs],
-                            out_f.copy()))
-        (pos_a, vel_a, outs_a, f_a), (pos_b, vel_b, outs_b, f_b) = results
-        assert np.array_equal(pos_a, pos_b)
-        assert np.array_equal(vel_a, vel_b)
-        assert np.array_equal(f_a, f_b)
-        for oa, ob in zip(outs_a, outs_b):
-            assert np.array_equal(oa, ob)
+
+class TestOfflineControllerPath:
+    """Controller.process and detect() replay what the kernel ran in the loop."""
+
+    @pytest.mark.parametrize("name", ["damper", "saturation", "squeezer", "damper+squeezer"])
+    def test_process_replays_the_loop_forces(self, paper_trap, name):
+        controllers = controller_sets(paper_trap)[name]
+        traj = closed_loop(paper_trap, controllers)
+        for c, cfg in enumerate(controllers):
+            ctrl = Controller(cfg)
+            # the force computed from sample n is held over sample n + 1
+            assert np.array_equal(ctrl.process(traj.y)[:-1], traj.forces[c, 1:])
+            assert traj.forces[c, 0] == 0.0
+            assert ctrl.saturation_count == traj.meta["saturation_counts"][c]
+        if name == "saturation":
+            assert traj.meta["saturation_counts"][0] > 0
+
+    def test_detect_reproduces_the_in_loop_record(self, paper_trap):
+        traj = closed_loop(paper_trap, controller_sets(paper_trap)["damper"])
+        assert np.array_equal(detect(traj.z1, DETECTION), traj.y)
+
+    def test_block_boundaries_leave_the_run_unchanged(self, paper_trap, monkeypatch):
+        controllers = controller_sets(paper_trap)["damper+squeezer"]
+        for store_every in (1, 2):
+            whole = closed_loop(paper_trap, controllers, store_every=store_every)
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "_BLOCK_SAMPLES", 333)
+                split = closed_loop(paper_trap, controllers, store_every=store_every)
+            assert_same_run(whole, split)
 
 
 class TestFaultsAndValidation:
@@ -291,8 +333,6 @@ class TestFaultsAndValidation:
             run(paper_trap, ref_pair, initial_state=(1e-4, -1e-4, 0.0, 0.0))
 
     def test_detection_rate_must_match(self, paper_trap, ref_pair):
-        from cotrap.feedback import DetectionModel
-
         det = DetectionModel(s_nn=1e-15, sample_rate=2 * FS, seed=0)
         with pytest.raises(ConfigError, match="sample_rate"):
             run(paper_trap, ref_pair, duration=1.0, detection=det)
@@ -304,8 +344,6 @@ class TestControllerLocality:
         # must leave particle 2's trajectory exactly unchanged
         p1, p2 = make_pair(2135, 906, gamma0=28.0)
         ms = mode_structure(paper_trap, p1, p2)
-        from cotrap.feedback import design_controller
-
         cfg = design_controller("velocity_damper", ms, "plus", 100.0, FS, p1.mass)
         noise = NoiseModel(t0=293.0, seed=14)
         kw = dict(duration=5.0, dt=DT, sample_rate=FS, coulomb_coupling=False)

@@ -95,6 +95,9 @@ class TestChainDesign:
         with pytest.raises(ConfigError, match="kind"):
             ControllerConfig(kind="pid", target_mode="plus", center=1500.0,
                              bandwidth=100.0, gain=1.0, mass=mass, sample_rate=FS)
+        # rejected when designed, before any integration starts
+        with pytest.raises(ConfigError, match="parametric drive .* Nyquist"):
+            squeezer(modes, mass, 1e4, drive_freq=np.pi * FS)
 
 
 class TestVelocityDamperChain:
