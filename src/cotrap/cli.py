@@ -66,12 +66,6 @@ def _write_quadrature_csv(path, quad):
         write_columns(fh, ("t_s", "x_m", "y_m"), (quad.t, quad.x, quad.y))
 
 
-def _write_record(path, record):
-    with open(path, "w") as fh:
-        for key, val in record.items():
-            fh.write(f"{key} = {val!r}\n")
-
-
 def _write_report(outdir, report):
     with open(outdir / "report.json", "w") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
@@ -100,11 +94,10 @@ def cmd_modes(args):
         record[f"particle{i}_f_x_hz"] = sp.omega_x / (2 * np.pi)
         record[f"particle{i}_f_z_hz"] = sp.omega_z / (2 * np.pi)
         record[f"particle{i}_secular_valid"] = sp.secular_valid
-    for key, val in record.items():
-        print(f"{key} = {val!r}")
+    text = report_to_text(record)
+    print(text, end="")
     if args.out is not None:
-        out = _outdir(args)
-        _write_record(out / "modes.txt", record)
+        (_outdir(args) / "modes.txt").write_text(text)
     return 0
 
 
@@ -261,17 +254,14 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="JSON experiment configuration")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="JSON experiment configuration")
         p.add_argument("--seed", type=int, default=None, help="override run.seed")
         p.add_argument("--out", default="out", help="output directory")
 
     p_modes = sub.add_parser("modes", help="closed-form mode structure and stability")
-    p_modes.add_argument("--config", required=True)
-    p_modes.add_argument("--seed", type=int, default=None)
-    p_modes.add_argument("--out", default=None)
-    p_modes.set_defaults(func=cmd_modes)
+    add_common(p_modes)
+    p_modes.set_defaults(func=cmd_modes, out=None)
 
     p_sim = sub.add_parser("simulate", help="run one experiment and analyze it")
     add_common(p_sim)

@@ -1,6 +1,8 @@
 """Experiment configuration: strict JSON schema with units in key names.
 
-Unknown keys are rejected and missing required keys are reported by name.
+Every key is one row of _SCHEMA: its field, reader, default and bound.
+Unknown keys, missing required keys and out-of-range values are rejected
+by a ConfigError that names the key.
 The resolved configuration (all defaults and derived seeds filled in) is
 embedded in every run output, and parse(serialize(parse(text))) is the
 identity.
@@ -17,88 +19,13 @@ from scipy.signal import get_window
 
 from .dynamics import NoiseModel
 from .errors import ConfigError
-from .feedback import DetectionModel
+from .feedback import KINDS, DetectionModel
 from .trap import ParticleSpec, TrapConfig, epstein_gamma
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config", "serialize_config"]
 
-_TRAP_KEYS = {
-    "v0_volts": True,
-    "u0_volts": True,
-    "omega_rf_rad_per_s": True,
-    "eta": True,
-    "kappa": True,
-    "r0_meters": True,
-    "z0_meters": True,
-}
-_PARTICLE_KEYS = {
-    "charge_e": True,
-    "mass_kg": False,
-    "radius_meters": False,
-    "density_kg_per_m3": False,
-    "gamma0_rad_per_s": False,
-    "pressure_mbar": False,
-}
-_NOISE_KEYS = {
-    "t0_kelvin": True,
-    "seed": False,
-    "force_noise_psd_n2_per_hz": False,
-}
-_DETECTION_KEYS = {
-    "s_nn_m2_per_hz": True,
-    "seed": False,
-}
-_CONTROLLER_KEYS = {
-    "kind": True,
-    "target_mode": True,
-    "gamma_fb_rad_per_s": False,
-    "gain_s2": False,
-    "bandwidth_rad_per_s": False,
-    "order": False,
-    "delay_samples": False,
-    "drive_phase_rad": False,
-    "drive_freq_rad_per_s": False,
-    "notch": False,
-    "notch_bandwidth_rad_per_s": False,
-    "force_limit_newtons": False,
-}
-_RUN_KEYS = {
-    "duration_seconds": True,
-    "sample_rate_hz": True,
-    "substeps_per_sample": True,
-    "seed": True,
-    "store_every": False,
-    "coulomb_coupling": False,
-}
-_ANALYSIS_KEYS = {
-    "burn_in_seconds": False,
-    "segment_seconds": False,
-    "overlap": False,
-    "window": False,
-    "fit_mixing_ratios": False,
-    "demod_bandwidth_rad_per_s": False,
-}
-_SWEEP_KEYS = {
-    "parameter": True,
-    "values": True,
-    "workers": False,
-}
-_TOP_KEYS = ("trap", "particles", "noise", "detection", "controllers", "run",
-             "analysis", "sweep")
 
-
-def _check_keys(section, data, schema):
-    if not isinstance(data, dict):
-        raise ConfigError(f"section '{section}' must be a mapping")
-    for key in data:
-        if key not in schema:
-            raise ConfigError(f"unknown key '{key}' in section '{section}'")
-    for key, required in schema.items():
-        if required and key not in data:
-            raise ConfigError(f"missing required key '{key}' in section '{section}'")
-
-
-def _finite(section, key, val):
+def _number(section, key, val):
     if not isinstance(val, bool) and isinstance(val, (int, float)):
         try:
             out = float(val)
@@ -109,45 +36,25 @@ def _finite(section, key, val):
     raise ConfigError(f"key '{key}' in section '{section}' must be a finite number")
 
 
-# range checks applied at parse time, named by the text of the error message
-_BOUNDS = {
-    "> 0": lambda v: v > 0,
-    ">= 0": lambda v: v >= 0,
-    ">= 1": lambda v: v >= 1,
-    "in [0, 1)": lambda v: 0 <= v < 1,
-}
-
-
-def _bounded(section, key, val, bound):
-    if bound is not None and not _BOUNDS[bound](val):
-        raise ConfigError(f"key '{key}' in section '{section}' must be {bound}")
+def _integer(section, key, val):
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ConfigError(f"key '{key}' in section '{section}' must be an integer")
     return val
 
 
-def _number(section, data, key, default=None, bound=None):
-    if key not in data:
-        return default
-    return _bounded(section, key, _finite(section, key, data[key]), bound)
-
-
-def _boolean(section, data, key, default):
-    val = data.get(key, default)
+def _boolean(section, key, val):
     if not isinstance(val, bool):
         raise ConfigError(f"key '{key}' in section '{section}' must be a boolean")
     return val
 
 
-def _integer(section, data, key, default=None, bound=None):
-    if key not in data:
-        return default
-    val = data[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"key '{key}' in section '{section}' must be an integer")
-    return _bounded(section, key, val, bound)
+def _string(section, key, val):
+    if not isinstance(val, str):
+        raise ConfigError(f"key '{key}' in section '{section}' must be a string")
+    return val
 
 
-def _window(section, data, key, default):
-    val = data.get(key, default)
+def _window(section, key, val):
     if isinstance(val, str):
         try:
             get_window(val, 16)
@@ -160,6 +67,142 @@ def _window(section, data, key, default):
     )
 
 
+def _choice(*options):
+    def read(section, key, val):
+        if val not in options:
+            raise ConfigError(f"key '{key}' in section '{section}' must be "
+                              f"{' or '.join(map(repr, options))}, got {val!r}")
+        return val
+    return read
+
+
+def _number_or_pair(section, key, val):
+    pair = val if isinstance(val, list) else [val, val]
+    if len(pair) != 2:
+        raise ConfigError(f"key '{key}' in section '{section}' must be a number or a pair")
+    return tuple(_bounded(section, key, _number(section, key, v), ">= 0") for v in pair)
+
+
+def _numbers(section, key, val):
+    if not isinstance(val, list) or not val:
+        raise ConfigError(f"key '{key}' in section '{section}' must be a non-empty list")
+    return [_number(section, key, v) for v in val]
+
+
+# range checks, named by the text of the error message
+_BOUNDS = {
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "nonzero": lambda v: v != 0,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+}
+
+
+def _bounded(section, key, val, bound):
+    if bound is not None and not _BOUNDS[bound](val):
+        raise ConfigError(f"key '{key}' in section '{section}' must be {bound}")
+    return val
+
+
+_REQUIRED = object()
+
+# Every key of every section: key -> (field, reader, default or _REQUIRED, bound).
+# A seed default of None is derived from run.seed by parse_config.
+_SCHEMA = {
+    "trap": {
+        "v0_volts": ("v0", _number, _REQUIRED, ">= 0"),
+        "u0_volts": ("u0", _number, _REQUIRED, "> 0"),
+        "omega_rf_rad_per_s": ("omega_rf", _number, _REQUIRED, "> 0"),
+        "eta": ("eta", _number, _REQUIRED, "in (0, 1]"),
+        "kappa": ("kappa", _number, _REQUIRED, "in (0, 1]"),
+        "r0_meters": ("r0", _number, _REQUIRED, "> 0"),
+        "z0_meters": ("z0", _number, _REQUIRED, "> 0"),
+    },
+    "particle": {
+        "charge_e": ("charge_e", _integer, _REQUIRED, "nonzero"),
+        "mass_kg": ("mass", _number, None, "> 0"),
+        "radius_meters": ("radius", _number, None, "> 0"),
+        "density_kg_per_m3": ("density", _number, None, "> 0"),
+        "gamma0_rad_per_s": ("gamma0", _number, None, ">= 0"),
+        "pressure_mbar": ("pressure", _number, None, ">= 0"),
+    },
+    "noise": {
+        "t0_kelvin": ("t0", _number, _REQUIRED, ">= 0"),
+        "seed": ("seed", _integer, None, ">= 0"),
+        "force_noise_psd_n2_per_hz": ("force_noise_psd", _number_or_pair, (0.0, 0.0), None),
+    },
+    "detection": {
+        "s_nn_m2_per_hz": ("s_nn", _number, _REQUIRED, ">= 0"),
+        "seed": ("seed", _integer, None, ">= 0"),
+    },
+    "controller": {
+        "kind": ("kind", _choice(*KINDS), _REQUIRED, None),
+        "target_mode": ("target_mode", _choice("plus", "minus"), _REQUIRED, None),
+        # one gain field; _GAIN_KEYS picks the key each kind takes
+        "gamma_fb_rad_per_s": ("gain", _number, None, ">= 0"),
+        "gain_s2": ("gain", _number, None, ">= 0"),
+        "bandwidth_rad_per_s": ("bandwidth", _number, None, "> 0"),
+        "order": ("order", _integer, 1, ">= 1"),
+        "delay_samples": ("delay_samples", _integer, None, ">= 0"),
+        "drive_phase_rad": ("drive_phase", _number, 0.0, None),
+        "drive_freq_rad_per_s": ("drive_freq", _number, None, None),
+        "notch": ("notch", _boolean, True, None),
+        "notch_bandwidth_rad_per_s": ("notch_bandwidth", _number, None, None),
+        "force_limit_newtons": ("force_limit", _number, math.inf, "> 0"),
+    },
+    "run": {
+        "duration_seconds": ("duration", _number, _REQUIRED, "> 0"),
+        "sample_rate_hz": ("sample_rate", _number, _REQUIRED, "> 0"),
+        "substeps_per_sample": ("substeps", _integer, _REQUIRED, ">= 1"),
+        "seed": ("seed", _integer, _REQUIRED, ">= 0"),
+        "store_every": ("store_every", _integer, 1, ">= 1"),
+        "coulomb_coupling": ("coulomb_coupling", _boolean, True, None),
+    },
+    "analysis": {
+        "burn_in_seconds": ("burn_in", _number, None, ">= 0"),
+        "segment_seconds": ("segment_seconds", _number, None, "> 0"),
+        "overlap": ("overlap", _number, 0.5, "in [0, 1)"),
+        "window": ("window", _window, "hann", None),
+        "fit_mixing_ratios": ("fit_mixing_ratios", _boolean, True, None),
+        "demod_bandwidth_rad_per_s": ("demod_bandwidth", _number, None, "> 0"),
+    },
+    "sweep": {
+        "parameter": ("parameter", _string, _REQUIRED, None),
+        "values": ("values", _numbers, _REQUIRED, None),
+        "workers": ("workers", _integer, 1, ">= 1"),
+    },
+}
+
+# the gain key of each controller kind, then the keys that kind does not take
+_GAIN_KEYS = {
+    "velocity_damper": ("gamma_fb_rad_per_s", "gain_s2"),
+    "parametric_squeezer": ("gain_s2", "gamma_fb_rad_per_s", "delay_samples"),
+}
+
+_TOP_KEYS = ("trap", "particles", "noise", "detection", "controllers", "run",
+             "analysis", "sweep")
+
+
+def _section(section, data, schema):
+    """Field values of one section: every key read, bounded or defaulted."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"section '{section}' must be a mapping")
+    for key in data:
+        if key not in schema:
+            raise ConfigError(f"unknown key '{key}' in section '{section}'")
+    out = {}
+    for key, (name, read, default, bound) in schema.items():
+        if key in data:
+            out[name] = _bounded(section, key, read(section, key, data[key]), bound)
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required key '{key}' in section '{section}'")
+        else:  # two keys may share a field; the one present wins
+            out.setdefault(name, default)
+    return out
+
+
 @dataclass
 class ControllerSettings:
     """Raw controller request; resolved against the mode structure at run time."""
@@ -167,14 +210,14 @@ class ControllerSettings:
     kind: str
     target_mode: str
     gain: float
-    bandwidth: float | None = None
-    order: int = 1
-    delay_samples: int | None = None
-    drive_phase: float = 0.0
-    drive_freq: float | None = None
-    notch: bool = True
-    notch_bandwidth: float | None = None
-    force_limit: float = float("inf")
+    bandwidth: float | None
+    order: int
+    delay_samples: int | None
+    drive_phase: float
+    drive_freq: float | None
+    notch: bool
+    notch_bandwidth: float | None
+    force_limit: float
 
 
 @dataclass
@@ -183,8 +226,8 @@ class RunSettings:
     sample_rate: float
     substeps: int
     seed: int
-    store_every: int = 1
-    coulomb_coupling: bool = True
+    store_every: int
+    coulomb_coupling: bool
 
     @property
     def dt(self):
@@ -193,19 +236,19 @@ class RunSettings:
 
 @dataclass
 class AnalysisSettings:
-    burn_in: float | None = None
-    segment_seconds: float | None = None
-    overlap: float = 0.5
-    window: str = "hann"
-    fit_mixing_ratios: bool = True
-    demod_bandwidth: float | None = None
+    burn_in: float | None
+    segment_seconds: float | None
+    overlap: float
+    window: str
+    fit_mixing_ratios: bool
+    demod_bandwidth: float | None
 
 
 @dataclass
 class SweepSettings:
     parameter: str
     values: list
-    workers: int = 1
+    workers: int
 
 
 @dataclass
@@ -223,21 +266,14 @@ class ExperimentConfig:
 
 def _parse_particle(idx, data, t0):
     section = f"particles[{idx}]"
-    _check_keys(section, data, _PARTICLE_KEYS)
-    charge = _integer(section, data, "charge_e")
-    if charge is None:
-        raise ConfigError(f"key 'charge_e' in section '{section}' must be an integer")
-    mass = _number(section, data, "mass_kg", bound="> 0")
-    radius = _number(section, data, "radius_meters", bound="> 0")
-    density = _number(section, data, "density_kg_per_m3", bound="> 0")
-    gamma0 = _number(section, data, "gamma0_rad_per_s", bound=">= 0")
-    pressure = _number(section, data, "pressure_mbar", bound=">= 0")
+    p = _section(section, data, _SCHEMA["particle"])
+    mass, radius, density, gamma0 = p["mass"], p["radius"], p["density"], p["gamma0"]
     if mass is None and (radius is None or density is None):
         raise ConfigError(
             f"section '{section}' needs either 'mass_kg' or both "
             "'radius_meters' and 'density_kg_per_m3'"
         )
-    if gamma0 is None and pressure is not None and (radius is None or density is None):
+    if gamma0 is None and p["pressure"] is not None and (radius is None or density is None):
         raise ConfigError(
             f"section '{section}': 'pressure_mbar' needs 'radius_meters' "
             "and 'density_kg_per_m3' for the drag model"
@@ -245,62 +281,27 @@ def _parse_particle(idx, data, t0):
     try:
         if mass is None:
             mass = (4.0 / 3.0) * np.pi * radius**3 * density
-        if gamma0 is None and pressure is not None:
-            gamma0 = epstein_gamma(pressure * 100.0, radius, density, temperature=t0)
+        if gamma0 is None and p["pressure"] is not None:
+            gamma0 = epstein_gamma(p["pressure"] * 100.0, radius, density, temperature=t0)
     except (OverflowError, ZeroDivisionError):  # radius**3 overflows; r*rho or k_B*T underflow
         mass = math.inf
     if gamma0 is None:
         gamma0 = 0.0
     if not (math.isfinite(mass) and math.isfinite(gamma0)):
         raise ConfigError(f"section '{section}': derived mass or damping rate is out of range")
-    return ParticleSpec(charge_e=charge, mass=mass, gamma0=gamma0)
+    return ParticleSpec(charge_e=p["charge_e"], mass=mass, gamma0=gamma0)
 
 
 def _parse_controller(idx, data):
     section = f"controllers[{idx}]"
-    _check_keys(section, data, _CONTROLLER_KEYS)
-    kind = data.get("kind")
-    if kind not in ("velocity_damper", "parametric_squeezer"):
-        raise ConfigError(
-            f"key 'kind' in section '{section}' must be 'velocity_damper' or "
-            f"'parametric_squeezer', got {kind!r}"
-        )
-    target = data.get("target_mode")
-    if target not in ("plus", "minus"):
-        raise ConfigError(
-            f"key 'target_mode' in section '{section}' must be 'plus' or 'minus'"
-        )
-    if kind == "velocity_damper":
-        if "gain_s2" in data:
-            raise ConfigError(f"key 'gain_s2' is not valid for a velocity_damper ('{section}')")
-        gain = _number(section, data, "gamma_fb_rad_per_s")
-        if gain is None:
-            raise ConfigError(
-                f"missing required key 'gamma_fb_rad_per_s' in section '{section}'"
-            )
-    else:
-        if "gamma_fb_rad_per_s" in data:
-            raise ConfigError(
-                f"key 'gamma_fb_rad_per_s' is not valid for a parametric_squeezer ('{section}')"
-            )
-        if "delay_samples" in data:
-            raise ConfigError(f"key 'delay_samples' is not valid for a squeezer ('{section}')")
-        gain = _number(section, data, "gain_s2")
-        if gain is None:
-            raise ConfigError(f"missing required key 'gain_s2' in section '{section}'")
-    return ControllerSettings(
-        kind=kind,
-        target_mode=target,
-        gain=gain,
-        bandwidth=_number(section, data, "bandwidth_rad_per_s"),
-        order=_integer(section, data, "order", 1, bound=">= 1"),
-        delay_samples=_integer(section, data, "delay_samples", bound=">= 0"),
-        drive_phase=_number(section, data, "drive_phase_rad", 0.0),
-        drive_freq=_number(section, data, "drive_freq_rad_per_s"),
-        notch=_boolean(section, data, "notch", True),
-        notch_bandwidth=_number(section, data, "notch_bandwidth_rad_per_s"),
-        force_limit=_number(section, data, "force_limit_newtons", float("inf")),
-    )
+    c = _section(section, data, _SCHEMA["controller"])
+    gain_key, *invalid = _GAIN_KEYS[c["kind"]]
+    for key in invalid:
+        if key in data:
+            raise ConfigError(f"key '{key}' is not valid for a {c['kind']} ('{section}')")
+    if gain_key not in data:
+        raise ConfigError(f"missing required key '{gain_key}' in section '{section}'")
+    return ControllerSettings(**c)
 
 
 def parse_config(raw, seed_override=None):
@@ -314,52 +315,20 @@ def parse_config(raw, seed_override=None):
         if key not in raw:
             raise ConfigError(f"missing required section '{key}'")
 
-    t = raw["trap"]
-    _check_keys("trap", t, _TRAP_KEYS)
-    trap = TrapConfig(
-        v0=_number("trap", t, "v0_volts"),
-        u0=_number("trap", t, "u0_volts"),
-        omega_rf=_number("trap", t, "omega_rf_rad_per_s"),
-        eta=_number("trap", t, "eta"),
-        kappa=_number("trap", t, "kappa"),
-        r0=_number("trap", t, "r0_meters"),
-        z0=_number("trap", t, "z0_meters"),
-    )
+    trap = TrapConfig(**_section("trap", raw["trap"], _SCHEMA["trap"]))
 
     r = raw["run"]
-    _check_keys("run", r, _RUN_KEYS)
-    if seed_override is None:
-        seed = _integer("run", r, "seed", bound=">= 0")
-    else:
-        seed = _bounded("run", "seed", seed_override, ">= 0")
-    run = RunSettings(
-        duration=_number("run", r, "duration_seconds"),
-        sample_rate=_number("run", r, "sample_rate_hz"),
-        substeps=_integer("run", r, "substeps_per_sample"),
-        seed=seed,
-        store_every=_integer("run", r, "store_every", 1, bound=">= 1"),
-        coulomb_coupling=_boolean("run", r, "coulomb_coupling", True),
-    )
-    if run.duration <= 0 or run.sample_rate <= 0 or run.substeps < 1:
-        raise ConfigError("run settings must be positive (duration, sample rate, substeps)")
+    if seed_override is not None and isinstance(r, dict):
+        r = dict(r, seed=seed_override)
+    run = RunSettings(**_section("run", r, _SCHEMA["run"]))
 
-    n = raw["noise"]
-    _check_keys("noise", n, _NOISE_KEYS)
-    noise_seed_child, det_seed_child = (
+    noise_seed, det_seed = (
         int(s) for s in np.random.SeedSequence(run.seed).generate_state(2, np.uint64)
     )
-    psd_key = "force_noise_psd_n2_per_hz"
-    fnoise = n.get(psd_key, [0.0, 0.0])
-    if not isinstance(fnoise, list):
-        fnoise = [fnoise, fnoise]
-    if len(fnoise) != 2:
-        raise ConfigError(f"key '{psd_key}' in section 'noise' must be a number or a pair")
-    noise = NoiseModel(
-        t0=_number("noise", n, "t0_kelvin"),
-        seed=_integer("noise", n, "seed", noise_seed_child, bound=">= 0"),
-        force_noise_psd=tuple(_bounded("noise", psd_key, _finite("noise", psd_key, v), ">= 0")
-                              for v in fnoise),
-    )
+    n = _section("noise", raw["noise"], _SCHEMA["noise"])
+    if n["seed"] is None:
+        n["seed"] = noise_seed
+    noise = NoiseModel(**n)
 
     particles_raw = raw["particles"]
     if not isinstance(particles_raw, list) or len(particles_raw) != 2:
@@ -369,47 +338,24 @@ def parse_config(raw, seed_override=None):
     )
 
     detection = None
-    if "detection" in raw and raw["detection"] is not None:
-        d = raw["detection"]
-        _check_keys("detection", d, _DETECTION_KEYS)
-        detection = DetectionModel(
-            s_nn=_number("detection", d, "s_nn_m2_per_hz"),
-            sample_rate=run.sample_rate,
-            seed=_integer("detection", d, "seed", det_seed_child, bound=">= 0"),
-        )
+    if raw.get("detection") is not None:
+        d = _section("detection", raw["detection"], _SCHEMA["detection"])
+        if d["seed"] is None:
+            d["seed"] = det_seed
+        detection = DetectionModel(sample_rate=run.sample_rate, **d)
 
     controllers_raw = raw.get("controllers", [])
     if not isinstance(controllers_raw, list):
         raise ConfigError("section 'controllers' must be a list")
     controllers = [_parse_controller(i, c) for i, c in enumerate(controllers_raw)]
 
-    analysis = AnalysisSettings()
-    if "analysis" in raw and raw["analysis"] is not None:
-        a = raw["analysis"]
-        _check_keys("analysis", a, _ANALYSIS_KEYS)
-        analysis = AnalysisSettings(
-            burn_in=_number("analysis", a, "burn_in_seconds", bound=">= 0"),
-            segment_seconds=_number("analysis", a, "segment_seconds", bound="> 0"),
-            overlap=_number("analysis", a, "overlap", 0.5, bound="in [0, 1)"),
-            window=_window("analysis", a, "window", "hann"),
-            fit_mixing_ratios=_boolean("analysis", a, "fit_mixing_ratios", True),
-            demod_bandwidth=_number("analysis", a, "demod_bandwidth_rad_per_s", bound="> 0"),
-        )
+    a = raw.get("analysis")
+    analysis = AnalysisSettings(**_section("analysis", {} if a is None else a,
+                                           _SCHEMA["analysis"]))
 
     sweep = None
-    if "sweep" in raw and raw["sweep"] is not None:
-        s = raw["sweep"]
-        _check_keys("sweep", s, _SWEEP_KEYS)
-        values = s["values"]
-        if not isinstance(values, list) or not values:
-            raise ConfigError("key 'values' in section 'sweep' must be a non-empty list")
-        if not isinstance(s["parameter"], str):
-            raise ConfigError("key 'parameter' in section 'sweep' must be a string")
-        sweep = SweepSettings(
-            parameter=s["parameter"],
-            values=[_finite("sweep", "values", v) for v in values],
-            workers=_integer("sweep", s, "workers", 1, bound=">= 1"),
-        )
+    if raw.get("sweep") is not None:
+        sweep = SweepSettings(**_section("sweep", raw["sweep"], _SCHEMA["sweep"]))
 
     resolved = _resolve_raw(raw, run, noise, detection)
     return ExperimentConfig(

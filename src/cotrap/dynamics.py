@@ -12,6 +12,7 @@ a fixed configuration and seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -292,7 +293,12 @@ def simulate(trap, p1, p2, noise, controllers=(), *, duration, dt, sample_rate,
             f"({detection.sample_rate} != {sample_rate})"
         )
 
-    n_stored = int(round(duration * sample_rate / store_every))
+    n_stored_f = duration * sample_rate / store_every
+    too_long = (f"duration {duration} s needs "
+                f"{8.0 * (5 + len(controllers)) * n_stored_f:.4g} bytes of output arrays")
+    if not math.isfinite(n_stored_f):
+        raise ConfigError(too_long)
+    n_stored = int(round(n_stored_f))
     if n_stored < 1:
         raise ConfigError("duration too short for one stored sample")
     n_samples = n_stored * store_every
@@ -329,12 +335,15 @@ def simulate(trap, p1, p2, noise, controllers=(), *, duration, dt, sample_rate,
 
     pos = np.array([state0.z1, state0.z2])
     vel = np.array([state0.v1, state0.v2])
-    out_z1 = np.empty(n_stored)
-    out_z2 = np.empty(n_stored)
-    out_v1 = np.empty(n_stored)
-    out_v2 = np.empty(n_stored)
-    out_y = np.empty(n_stored)
-    out_force = np.empty((len(controllers), n_stored))
+    try:
+        out_z1 = np.empty(n_stored)
+        out_z2 = np.empty(n_stored)
+        out_v1 = np.empty(n_stored)
+        out_v2 = np.empty(n_stored)
+        out_y = np.empty(n_stored)
+        out_force = np.empty((len(controllers), n_stored))
+    except (ValueError, MemoryError):  # numpy's dimension limit, or no memory
+        raise ConfigError(too_long) from None
     hold_force = np.zeros(len(controllers))
 
     fault = _kernel.FAULT_NONE

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 KINDS = ("velocity_damper", "parametric_squeezer")
+_NOTCH_COUNT = 2  # identical notch sections per controller
 
 
 @dataclass(frozen=True)
@@ -104,10 +105,8 @@ class ControllerConfig:
     drive_phase: float = 0.0
     notch: float | None = None
     notch_bandwidth: float = 0.0
-    notch_count: int = 2
     mode_projection: float = 1.0
     force_limit: float = math.inf
-    actuation_target: int = 1
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -132,8 +131,6 @@ class ControllerConfig:
             raise ConfigError("mode_projection ~ 0: particle 1 does not move in the target mode")
         if self.force_limit <= 0:
             raise ConfigError("force_limit must be > 0")
-        if self.actuation_target != 1:
-            raise ConfigError("controllers act on particle 1 only")
         if self.notch is not None:
             if not 0 < self.notch < math.pi * self.sample_rate:
                 raise ConfigError("notch frequency outside (0, Nyquist)")
@@ -174,7 +171,7 @@ def _sections(cfg):
             for _ in range(cfg.order)]
     if cfg.notch is not None:
         rows += [_notch_section(cfg.notch, cfg.notch_bandwidth, cfg.sample_rate)
-                 for _ in range(cfg.notch_count)]
+                 for _ in range(_NOTCH_COUNT)]
     return np.array(rows)
 
 
@@ -332,16 +329,6 @@ class Controller:
     def saturation_count(self):
         return int(self._set.sat_count[0])
 
-    @property
-    def state(self):
-        s = self._set
-        return {
-            "filter": s.sos_state.copy(),
-            "delay_line": s.dly_buf[0].copy(),
-            "delay_pos": int(s.dly_pos[0]),
-            "time": self._t_next,
-        }
-
     def reset(self):
         self._set.reset()
         self._t_next = 0.0
@@ -383,8 +370,7 @@ def parametric_threshold(gamma0, omega):
 def design_controller(kind, modes, target_mode, gain, sample_rate, mass, *,
                       bandwidth=None, order=1, delay_samples=None,
                       drive_phase=0.0, drive_freq=None, notch=True,
-                      notch_bandwidth=None, notch_count=2,
-                      force_limit=math.inf):
+                      notch_bandwidth=None, force_limit=math.inf):
     """Build a ControllerConfig from the pair's mode structure.
 
     Fills the bandpass center with the targeted mode frequency, puts the
@@ -416,7 +402,6 @@ def design_controller(kind, modes, target_mode, gain, sample_rate, mass, *,
         drive_phase=drive_phase,
         notch=omega_other if notch else None,
         notch_bandwidth=notch_bandwidth if notch else 0.0,
-        notch_count=notch_count,
         mode_projection=float(modes.eigenvector(target_mode)[0]),
         force_limit=force_limit,
     )

@@ -121,15 +121,6 @@ class StabilityParams:
     omega_z: float
     secular_valid: bool
 
-    def q(self, axis):
-        return getattr(self, f"q_{axis}")
-
-    def a(self, axis):
-        return getattr(self, f"a_{axis}")
-
-    def omega(self, axis):
-        return getattr(self, f"omega_{axis}")
-
 
 @dataclass(frozen=True)
 class ModeStructure:
@@ -181,6 +172,9 @@ class ModeStructure:
         }
 
 
+_FLOAT_RANGE = "trap and particle parameters take the theory out of float range"
+
+
 def axial_stiffness(trap, particle):
     """Static axial spring constant u = 2 Q kappa U0 / z0^2 in N/m."""
     return 2.0 * particle.charge * trap.kappa * trap.u0 / trap.z0**2
@@ -210,8 +204,13 @@ def stability_params(trap, particle):
     a_n + q_n^2/2 <= 0 is unstable and raises.
     """
     qs, as_, omegas = {}, {}, {}
-    for axis in ("x", "y", "z"):
-        qs[axis], as_[axis], omegas[axis] = _axis_params(trap, particle, axis)
+    try:
+        for axis in ("x", "y", "z"):
+            qs[axis], as_[axis], omegas[axis] = _axis_params(trap, particle, axis)
+    except (OverflowError, ZeroDivisionError):  # float ** and / at extreme inputs
+        raise ConfigError(_FLOAT_RANGE) from None
+    if not np.isfinite([*qs.values(), *as_.values(), *omegas.values()]).all():
+        raise ConfigError(_FLOAT_RANGE)
     # lowest-order secular theory needs |a|, q^2 << 1; flag past q = 0.4
     # (and the matching a bound 0.4^2)
     valid = abs(qs["x"]) <= 0.4 and max(abs(a) for a in as_.values()) <= 0.16
@@ -309,13 +308,19 @@ def mode_structure(trap, p1, p2):
     mode (in-phase / centre-of-mass branch, the lower frequency); see
     ModeStructure.
     """
-    z1_eq, z2_eq, z_sep = equilibrium_positions(trap, p1, p2)
-    mat = coupling_matrix(trap, p1, p2)
-    (lam_lo, lam_hi), (e_lo, e_hi) = _eig2(mat)
+    try:
+        z1_eq, z2_eq, z_sep = equilibrium_positions(trap, p1, p2)
+        (lam_lo, lam_hi), (e_lo, e_hi) = _eig2(coupling_matrix(trap, p1, p2))
+        r_lo = float(e_lo[0] / e_lo[1])
+        r_hi = float(e_hi[0] / e_hi[1])
+        # energy_fractions squares the ratios
+        values = [z1_eq, z2_eq, z_sep, lam_lo, lam_hi, r_lo**2, r_hi**2]
+    except (OverflowError, ZeroDivisionError):  # float ** and / at extreme inputs
+        raise ConfigError(_FLOAT_RANGE) from None
     if lam_lo <= 0.0 or lam_hi <= 0.0:
         raise UnstableModeError(lam_lo, lam_hi)
-    r_lo = float(e_lo[0] / e_lo[1])
-    r_hi = float(e_hi[0] / e_hi[1])
+    if not np.isfinite(values).all():
+        raise ConfigError(_FLOAT_RANGE)
     frac_1_plus, frac_2_plus = energy_fractions(r_lo, r_hi)
     return ModeStructure(
         z1_eq=float(z1_eq),

@@ -153,6 +153,8 @@ class TestCliModes:
         # (section, None for the top level; key; value; the name the error
         # must quote, when it is not the key)
         sweep = {"parameter": "noise.t0_kelvin", "values": [1.0, 2.0]}
+        particles = base_config()["particles"]
+        damper = {"kind": "velocity_damper", "target_mode": "plus", "gamma_fb_rad_per_s": 1.0}
         cases = [
             ("trap", "bogus_key", 1.0),
             ("run", "duration_seconds", float("nan")),
@@ -166,6 +168,7 @@ class TestCliModes:
             ("noise", "force_noise_psd_n2_per_hz", [float("nan"), 0]),
             (None, "trap", 5),
             (None, "controllers", 5),
+            (None, "analysis", 0),
             ("particles", 0, 3, "particles[0]"),
             ("run", "seed", -1),
             ("run", "store_every", 0),
@@ -174,6 +177,18 @@ class TestCliModes:
             (None, "sweep", dict(sweep, values=[1.0, float("nan")]), "values"),
             (None, "sweep", dict(sweep, values=[float("inf")]), "values"),
             (None, "sweep", dict(sweep, values=[float("-inf")]), "values"),
+            # out of range, checked by the key's bound before any domain object
+            ("trap", "u0_volts", -1),
+            ("trap", "eta", 2),
+            ("trap", "r0_meters", 0),
+            ("noise", "t0_kelvin", -1),
+            ("detection", "s_nn_m2_per_hz", -1),
+            ("run", "substeps_per_sample", 0),
+            ("run", "sample_rate_hz", -1),
+            (None, "particles", [dict(particles[0], charge_e=0), particles[1]], "charge_e"),
+            (None, "controllers", [dict(damper, gamma_fb_rad_per_s=-1)], "gamma_fb_rad_per_s"),
+            (None, "controllers", [dict(damper, bandwidth_rad_per_s=-3)], "bandwidth_rad_per_s"),
+            (None, "controllers", [dict(damper, force_limit_newtons=0)], "force_limit_newtons"),
         ]
         for section, key, value, *name in cases:
             raw = base_config()
@@ -298,6 +313,16 @@ class TestCliSimulate:
         assert code == 3
         assert "fault" in capsys.readouterr().err
 
+    def test_huge_duration_exit_code(self, tmp_path, capsys):
+        # the sample count is checked before the output arrays are allocated;
+        # 1e306 s makes it infinite, 1e300 s exceeds numpy's dimension limit
+        for duration, needed in ((1e306, "inf"), (1e300, "1e+305")):
+            raw = base_config()
+            raw["run"]["duration_seconds"] = duration
+            path = write_config(tmp_path, raw)
+            assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+            assert f"duration {duration!r} s needs {needed} bytes" in capsys.readouterr().err
+
 
 class TestCliSweep:
     def test_sweep_aggregation(self, tmp_path):
@@ -348,7 +373,8 @@ class TestCliSweep:
     def test_failed_row_reads_back_as_csv(self, tmp_path):
         # an error message holding commas stays one quoted cell
         raw = base_config()
-        raw["sweep"] = {"parameter": "run.duration_seconds", "values": [1.0, -1.0]}
+        raw["run"]["duration_seconds"] = 1.0
+        raw["sweep"] = {"parameter": "trap.eta", "values": [0.82, 2.0]}
         path = write_config(tmp_path, raw)
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == 4
@@ -358,7 +384,7 @@ class TestCliSweep:
         assert None not in rows[1]
         assert rows[1]["status"] == "'failed'"
         assert rows[1]["error"] == repr(
-            "ConfigError: run settings must be positive (duration, sample rate, substeps)")
+            "ConfigError: key 'eta' in section 'trap' must be in (0, 1]")
 
     def test_bad_parameter_path(self, tmp_path):
         # a path error of any exception type becomes a failed row

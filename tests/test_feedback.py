@@ -86,10 +86,6 @@ class TestChainDesign:
 
     def test_validation(self, modes, damped_pair):
         mass = damped_pair[0].mass
-        with pytest.raises(ConfigError, match="act on particle 1"):
-            ControllerConfig(kind="velocity_damper", target_mode="plus",
-                             center=1500.0, bandwidth=100.0, gain=1.0,
-                             mass=mass, sample_rate=FS, actuation_target=2)
         with pytest.raises(ConfigError, match="gain"):
             damper(modes, mass, gain=-1.0)
         with pytest.raises(ConfigError, match="kind"):
