@@ -5,7 +5,7 @@ Normal-mode theory, stochastic dynamics with measurement-based feedback
 other), and the spectral estimators used to characterise the pair.
 """
 
-from ._kernel import NUMBA_ENABLED
+from ._kernel import NUMBA_ENABLED  # read by cotrap_bench/
 from .analysis import (
     ModeTraces,
     Psd,
@@ -21,11 +21,9 @@ from .analysis import (
 )
 from .dynamics import (
     NoiseModel,
-    SystemState,
     Trajectory,
     simulate,
     thermal_equilibrium_state,
-    thermal_kick_scale,
     total_energy,
 )
 from .errors import (
@@ -42,9 +40,7 @@ from .feedback import (
     DetectionModel,
     design_controller,
     detect,
-    parametric_force,
     parametric_threshold,
-    velocity_damper_force,
 )
 from .trap import (
     ModeStructure,

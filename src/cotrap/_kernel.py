@@ -1,10 +1,7 @@
 """Inner integration and controller loops.
 
-The functions here are written in scalar numpy style so that a single
-source serves two execution paths: the plain-Python reference path and a
-numba-jitted path.  numba is used exactly when it can be imported; the
-pure path stays reachable as run_block_python.  Both consume identical
-pre-generated noise arrays, so they produce identical trajectories.
+Plain Python over numpy arrays and scalars, consuming pre-generated
+noise arrays; this is the one execution backend.
 
 Controller state layout (one row / slot per controller):
   sos[s, :]      biquad coefficients b0, b1, b2, a1, a2 (a0 normalized out)
@@ -16,8 +13,6 @@ Controller state layout (one row / slot per controller):
   gain_n_per_m   output force per meter of processed signal, newtons
 """
 
-import types
-
 import numpy as np
 
 FAULT_NONE = 0
@@ -27,12 +22,9 @@ FAULT_NONFINITE = 2
 KIND_DAMPER = 0
 KIND_SQUEEZER = 1
 
-try:
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
+# cotrap_bench/ prints this flag, times run_block_python (below) and reads
+# run_block's positional arguments n_sub (index 13) and thermal (index 16)
+NUMBA_ENABLED = False
 
 
 def controller_step(y, t, c, kind, sos, sos_off, sos_state, dly_buf, dly_len,
@@ -181,22 +173,4 @@ def run_block(pos, vel, m1, m2, u1, u2, kq, coulomb_on,
     return fault, fault_at
 
 
-def _pure_copy(fn):
-    """Copy of fn whose controller_step global stays the interpreted one."""
-    g = dict(fn.__globals__)
-    g["controller_step"] = controller_step_python
-    out = types.FunctionType(fn.__code__, g, fn.__name__, fn.__defaults__,
-                             fn.__closure__)
-    out.__doc__ = fn.__doc__
-    return out
-
-
-# Reference (pure Python) entry points; the jitted names below are the
-# default execution path when numba is importable.
-controller_step_python = controller_step
-run_block_python = _pure_copy(run_block)
-
-if NUMBA_ENABLED:
-    controller_step = njit(cache=True)(controller_step)
-    controller_pass = njit(cache=True)(controller_pass)
-    run_block = njit(cache=True)(run_block)
+run_block_python = run_block

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, signal
+from scipy import linalg
 
 from .constants import K_B
 from .errors import AnalysisError
@@ -67,9 +67,6 @@ class Psd:
             1.5 * np.sqrt(np.sum(self.values[sel] ** 2) / self.n_averages) * self.df
         )
 
-    def total_power(self):
-        return float(np.sum(self.values) * self.df)
-
     def peak_frequency(self, f_lo=None, f_hi=None):
         """Peak location refined by parabolic interpolation on log power."""
         f = self.frequencies
@@ -97,6 +94,8 @@ def welch_psd(trace, sample_rate, segment_length=None, overlap=0.5, window="hann
     The mean is removed per segment; windows are power-corrected so that
     the integral of the PSD matches the trace variance.
     """
+    from scipy import signal
+
     x = np.asarray(trace, dtype=float)
     if segment_length is None:
         segment_length = min(len(x), 2 ** int(np.log2(max(len(x) // 8, 16))))
@@ -164,20 +163,12 @@ class TemperatureEstimate:
     band: tuple
 
 
-def mode_temperature(data, mass, omega, band=None, *, sample_rate=None,
-                     other_omega=None, **welch_kwargs):
+def mode_temperature(psd, mass, omega, band=None, *, other_omega=None):
     """Temperature from the band-integrated position PSD: T = m w^2 P / k_B.
 
-    `data` is either a Psd or a raw trace (then sample_rate is required).
     band is (f_lo, f_hi) in Hz and must cover the mode peak while
     excluding the other mode; band=None integrates the full spectrum.
     """
-    if isinstance(data, Psd):
-        psd = data
-    else:
-        if sample_rate is None:
-            raise AnalysisError("sample_rate is required when passing a raw trace")
-        psd = welch_psd(data, sample_rate, **welch_kwargs)
     if band is None:
         band = (0.0, float(psd.frequencies[-1]))
     f_lo, f_hi = band
@@ -211,14 +202,6 @@ class ModeTraces:
     z_minus: np.ndarray
     r_plus: float
     r_minus: float
-
-    def reconstruct(self):
-        """Invert the projection back to the particle deviations (s1, s2)."""
-        e_plus = np.array([self.r_plus, 1.0]) / math.sqrt(1.0 + self.r_plus**2)
-        e_minus = np.array([self.r_minus, 1.0]) / math.sqrt(1.0 + self.r_minus**2)
-        s1 = e_plus[0] * self.z_plus + e_minus[0] * self.z_minus
-        s2 = e_plus[1] * self.z_plus + e_minus[1] * self.z_minus
-        return s1, s2
 
 
 def project_modes(s1, s2, r_plus, r_minus):
@@ -288,6 +271,8 @@ def fit_r_pm(s1, s2, sample_rate, segment_length=None, overlap=0.5, window="hann
     vice versa.  Returns the fitted ratios and the worst residual leakage
     (off-mode band power over on-mode band power, in dB).
     """
+    from scipy import signal
+
     s1 = np.asarray(s1, dtype=float)
     s2 = np.asarray(s2, dtype=float)
     psd1 = welch_psd(s1, sample_rate, segment_length, overlap, window)
@@ -366,6 +351,8 @@ def demodulate(trace, omega, lowpass_bandwidth, sample_rate, *,
     the damping rate) while rejecting the other mode and the 2-omega
     mixing image; violations of the provided bounds raise.
     """
+    from scipy import signal
+
     z = np.asarray(trace, dtype=float)
     if lowpass_bandwidth <= 0:
         raise AnalysisError("lowpass_bandwidth must be > 0")

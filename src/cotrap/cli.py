@@ -198,13 +198,17 @@ def cmd_sweep(args):
     cfg = load_config(args.config, seed_override=args.seed)
     if cfg.sweep is None:
         raise ConfigError("configuration has no 'sweep' section")
+    workers = args.workers if args.workers is not None else cfg.sweep.workers
+    if workers < 1:
+        raise ConfigError(f"option '--workers' must be >= 1, got {workers}")
     out = _outdir(args)
     # every point reuses the resolved noise and detection seeds: common
     # random numbers, so differences between points come from the parameter
     values = cfg.sweep.values
     jobs = [(cfg.resolved, cfg.sweep.parameter, value, out / f"run_{i:03d}")
             for i, value in enumerate(values)]
-    workers = args.workers if args.workers is not None else cfg.sweep.workers
+    # a process pool starts all of its workers at the first submit
+    workers = min(workers, len(jobs))
     rows = [None] * len(jobs)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import get_window
 
 from .dynamics import NoiseModel
 from .errors import ConfigError
@@ -55,6 +54,8 @@ def _string(section, key, val):
 
 
 def _window(section, key, val):
+    from scipy.signal import get_window
+
     if isinstance(val, str):
         try:
             get_window(val, 16)
@@ -149,7 +150,7 @@ _SCHEMA = {
         "drive_phase_rad": ("drive_phase", _number, 0.0, None),
         "drive_freq_rad_per_s": ("drive_freq", _number, None, None),
         "notch": ("notch", _boolean, True, None),
-        "notch_bandwidth_rad_per_s": ("notch_bandwidth", _number, None, None),
+        "notch_bandwidth_rad_per_s": ("notch_bandwidth", _number, None, "> 0"),
         "force_limit_newtons": ("force_limit", _number, math.inf, "> 0"),
     },
     "run": {
@@ -292,7 +293,7 @@ def _parse_particle(idx, data, t0):
     return ParticleSpec(charge_e=p["charge_e"], mass=mass, gamma0=gamma0)
 
 
-def _parse_controller(idx, data):
+def _parse_controller(idx, data, sample_rate):
     section = f"controllers[{idx}]"
     c = _section(section, data, _SCHEMA["controller"])
     gain_key, *invalid = _GAIN_KEYS[c["kind"]]
@@ -301,6 +302,11 @@ def _parse_controller(idx, data):
             raise ConfigError(f"key '{key}' is not valid for a {c['kind']} ('{section}')")
     if gain_key not in data:
         raise ConfigError(f"missing required key '{gain_key}' in section '{section}'")
+    if c["drive_freq"] is not None and c["drive_freq"] >= math.pi * sample_rate:
+        raise ConfigError(
+            f"key 'drive_freq_rad_per_s' in section '{section}' must be below the "
+            f"Nyquist rate pi * sample_rate_hz = {math.pi * sample_rate:.6g} rad/s"
+        )
     return ControllerSettings(**c)
 
 
@@ -347,7 +353,8 @@ def parse_config(raw, seed_override=None):
     controllers_raw = raw.get("controllers", [])
     if not isinstance(controllers_raw, list):
         raise ConfigError("section 'controllers' must be a list")
-    controllers = [_parse_controller(i, c) for i, c in enumerate(controllers_raw)]
+    controllers = [_parse_controller(i, c, run.sample_rate)
+                   for i, c in enumerate(controllers_raw)]
 
     a = raw.get("analysis")
     analysis = AnalysisSettings(**_section("analysis", {} if a is None else a,

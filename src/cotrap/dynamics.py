@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,9 +25,7 @@ from .trap import axial_stiffness, equilibrium_positions, mode_structure
 
 __all__ = [
     "NoiseModel",
-    "SystemState",
     "Trajectory",
-    "thermal_kick_scale",
     "ou_coefficients",
     "thermal_equilibrium_state",
     "total_energy",
@@ -55,29 +54,6 @@ class NoiseModel:
             raise ConfigError(f"t0 must be >= 0, got {self.t0}")
         if len(self.force_noise_psd) != 2 or any(s < 0 for s in self.force_noise_psd):
             raise ConfigError("force_noise_psd must be two values >= 0")
-
-
-@dataclass
-class SystemState:
-    """Instantaneous lab-frame state of the pair."""
-
-    t: float
-    z1: float
-    z2: float
-    v1: float
-    v2: float
-
-
-def thermal_kick_scale(particle, t0, dt):
-    """Leading-order per-step velocity kick sigma_v = sqrt(2 gamma k_B T0 dt / m).
-
-    This is the Euler-level magnitude of the stochastic stage; the
-    integrator itself uses the exact finite-dt damping/noise update, which
-    reduces to this scale for gamma * dt << 1.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    return np.sqrt(2.0 * particle.gamma0 * K_B * t0 * dt / particle.mass)
 
 
 def ou_coefficients(particle, t0, dt, extra_force_psd=0.0):
@@ -120,7 +96,7 @@ def thermal_equilibrium_state(trap, p1, p2, t0, rng, coulomb_coupling=True):
     else:
         dz = np.zeros(2)
         v1 = v2 = 0.0
-    return SystemState(t=0.0, z1=z1_eq + dz[0], z2=z2_eq + dz[1], v1=v1, v2=v2)
+    return z1_eq + dz[0], z2_eq + dz[1], v1, v2
 
 
 def total_energy(trap, p1, p2, z1, z2, v1, v2):
@@ -181,12 +157,12 @@ class Trajectory:
         """Positions relative to the given equilibrium points."""
         return self.z1 - z1_eq, self.z2 - z2_eq
 
+    @staticmethod
+    def _columns(has_y, n_forces):
+        return ["t", "z1", "z2", "v1", "v2"] + ["y"] * has_y + [f"F{i}" for i in range(n_forces)]
+
     def column_names(self):
-        names = ["t", "z1", "z2", "v1", "v2"]
-        if self.y is not None:
-            names.append("y")
-        names += [f"F{i}" for i in range(self.forces.shape[0])]
-        return names
+        return self._columns(self.y is not None, self.forces.shape[0])
 
     def to_csv(self, path):
         """Write a '#'-headered CSV; float formatting round-trips exactly."""
@@ -208,28 +184,41 @@ class Trajectory:
 
     @classmethod
     def from_csv(cls, path):
+        """Read a file written by to_csv; a damaged file raises ConfigError."""
         meta = {}
         sample_rate = None
         columns = None
         n_header = 0
-        with open(path) as fh:
-            for line in fh:
-                if line.startswith("#"):
-                    n_header += 1
-                    body = line[1:].strip()
-                    if body.startswith("meta = "):
-                        meta = json.loads(body[len("meta = "):])
-                    elif body.startswith("sample_rate_hz = "):
-                        sample_rate = float(body[len("sample_rate_hz = "):])
-                    elif body.startswith("columns = "):
-                        columns = body[len("columns = "):].split(",")
-                else:
-                    break
-        if sample_rate is None or columns is None:
-            raise ConfigError(f"{path} is not a trajectory file")
-        data = np.loadtxt(path, delimiter=",", skiprows=n_header + 1, ndmin=2)
-        cols = {name: data[:, i] for i, name in enumerate(columns)}
+        try:
+            with open(path) as fh:
+                for line in fh:
+                    if line.startswith("#"):
+                        n_header += 1
+                        body = line[1:].strip()
+                        if body.startswith("meta = "):
+                            meta = json.loads(body[len("meta = "):])
+                        elif body.startswith("sample_rate_hz = "):
+                            sample_rate = float(body[len("sample_rate_hz = "):])
+                        elif body.startswith("columns = "):
+                            columns = body[len("columns = "):].split(",")
+                    else:
+                        break
+            if sample_rate is None or columns is None:
+                raise ConfigError(f"{path} is not a trajectory file")
+            with warnings.catch_warnings():  # no data rows is checked below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(path, delimiter=",", skiprows=n_header + 1, ndmin=2)
+        except ValueError as exc:  # a bad meta line, number or row width
+            raise ConfigError(f"{path}: damaged trajectory file ({exc})") from None
+        if data.shape[0] == 0:
+            raise ConfigError(f"{path}: damaged trajectory file (no data rows)")
+        if data.shape[1] != len(columns):
+            raise ConfigError(f"{path}: damaged trajectory file ({data.shape[1]} values "
+                              f"per row for {len(columns)} columns)")
         n_forces = sum(1 for name in columns if name.startswith("F"))
+        if columns != cls._columns("y" in columns, n_forces):
+            raise ConfigError(f"{path}: damaged trajectory file (columns {','.join(columns)})")
+        cols = {name: data[:, i] for i, name in enumerate(columns)}
         forces = np.array([cols[f"F{i}"] for i in range(n_forces)])
         if n_forces == 0:
             forces = np.zeros((0, data.shape[0]))
@@ -254,6 +243,8 @@ def simulate(trap, p1, p2, noise, controllers=(), *, duration, dt, sample_rate,
     fastest dynamics: dt <= 2 pi / (50 max(omega_minus, filter corners)).
     Controllers (feedback.ControllerConfig) act on particle 1 only and run
     at `sample_rate`; identical inputs and seeds give bit-identical output.
+    initial_state is (z1, z2, v1, v2); None draws it from the thermal
+    distribution (thermal_equilibrium_state).
     """
     if duration <= 0:
         raise ConfigError("duration must be > 0")
@@ -320,21 +311,17 @@ def simulate(trap, p1, p2, noise, controllers=(), *, duration, dt, sample_rate,
 
     if initial_state is None:
         init_gen = np.random.Generator(np.random.PCG64(init_ss))
-        state0 = thermal_equilibrium_state(
+        initial_state = thermal_equilibrium_state(
             trap, p1, p2, noise.t0, init_gen, coulomb_coupling=coulomb_coupling
         )
-    elif isinstance(initial_state, SystemState):
-        state0 = initial_state
-    else:
-        z1, z2, v1, v2 = initial_state
-        state0 = SystemState(t=0.0, z1=z1, z2=z2, v1=v1, v2=v2)
-    if coulomb_coupling and state0.z2 <= state0.z1:
+    z1, z2, v1, v2 = initial_state
+    if coulomb_coupling and z2 <= z1:
         raise ConfigError("initial state must have z2 > z1")
 
     kset, info = feedback.build_kernel_set(controllers, sample_rate, p1.mass)
 
-    pos = np.array([state0.z1, state0.z2])
-    vel = np.array([state0.v1, state0.v2])
+    pos = np.array([z1, z2])
+    vel = np.array([v1, v2])
     try:
         out_z1 = np.empty(n_stored)
         out_z2 = np.empty(n_stored)

@@ -33,8 +33,6 @@ __all__ = [
     "ControllerConfig",
     "Controller",
     "detect",
-    "velocity_damper_force",
-    "parametric_force",
     "design_controller",
     "parametric_threshold",
     "chain_response",
@@ -346,20 +344,6 @@ class Controller:
         _kernel.controller_pass(y, t0, 1.0 / self.cfg.sample_rate, *self._set, out)
         self._t_next = t0 + len(y) / self.cfg.sample_rate
         return out[0]
-
-
-def velocity_damper_force(measured, cfg, t0=0.0):
-    """Force stream of a fresh velocity damper applied to `measured`."""
-    if cfg.kind != "velocity_damper":
-        raise ConfigError(f"expected a velocity_damper config, got {cfg.kind!r}")
-    return Controller(cfg).process(measured, t0)
-
-
-def parametric_force(measured, cfg, t0=0.0):
-    """Force stream of a fresh parametric squeezer applied to `measured`."""
-    if cfg.kind != "parametric_squeezer":
-        raise ConfigError(f"expected a parametric_squeezer config, got {cfg.kind!r}")
-    return Controller(cfg).process(measured, t0)
 
 
 def parametric_threshold(gamma0, omega):

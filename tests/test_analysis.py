@@ -35,7 +35,7 @@ class TestWelch:
         t = np.arange(n) / FS
         x = np.sin(2 * np.pi * 293.0 * t)
         psd = welch_psd(x, FS, segment_length=4096)
-        assert psd.total_power() == pytest.approx(0.5, rel=0.01)
+        assert psd.band_power(0.0, np.inf) == pytest.approx(0.5, rel=0.01)
         assert psd.peak_frequency() == pytest.approx(293.0, abs=psd.df)
 
     def test_white_noise_level(self):
@@ -50,7 +50,7 @@ class TestWelch:
         rng = np.random.default_rng(6)
         x = thermal_oscillator(200.0, 2 * np.pi * 5.0, 2**17, rng)
         psd = welch_psd(x, FS, segment_length=8192)
-        assert psd.total_power() == pytest.approx(np.var(x), rel=0.01)
+        assert psd.band_power(0.0, np.inf) == pytest.approx(np.var(x), rel=0.01)
 
     def test_too_short_trace_rejected(self):
         with pytest.raises(AnalysisError, match="exceeds"):
@@ -74,30 +74,30 @@ class TestModeTemperature:
     def test_synthetic_thermal_trace(self):
         f0 = 250.0
         x = self._trace(293.0, f0, 2 * np.pi * 4.0, 2**19, seed=7)
-        est = mode_temperature(x, self.mass, 2 * np.pi * f0, (150.0, 350.0),
-                               sample_rate=FS, segment_length=2**14)
+        est = mode_temperature(welch_psd(x, FS, segment_length=2**14), self.mass,
+                               2 * np.pi * f0, (150.0, 350.0))
         assert abs(est.kelvin - 293.0) < 3 * est.sigma_kelvin
         assert est.kelvin == pytest.approx(293.0, rel=0.1)
 
     def test_quadratic_amplitude_scaling(self):
         x = self._trace(100.0, 250.0, 2 * np.pi * 4.0, 2**16, seed=8)
-        a = mode_temperature(x, self.mass, 2 * np.pi * 250.0, (150.0, 350.0),
-                             sample_rate=FS, segment_length=2**13)
-        b = mode_temperature(2 * x, self.mass, 2 * np.pi * 250.0, (150.0, 350.0),
-                             sample_rate=FS, segment_length=2**13)
+        a = mode_temperature(welch_psd(x, FS, segment_length=2**13), self.mass,
+                             2 * np.pi * 250.0, (150.0, 350.0))
+        b = mode_temperature(welch_psd(2 * x, FS, segment_length=2**13), self.mass,
+                             2 * np.pi * 250.0, (150.0, 350.0))
         assert b.kelvin == pytest.approx(4 * a.kelvin, rel=1e-9)
 
     def test_band_must_contain_mode(self):
         x = self._trace(100.0, 250.0, 2 * np.pi * 4.0, 2**14, seed=9)
         with pytest.raises(AnalysisError, match="does not contain"):
-            mode_temperature(x, self.mass, 2 * np.pi * 250.0, (300.0, 500.0),
-                             sample_rate=FS)
+            mode_temperature(welch_psd(x, FS), self.mass, 2 * np.pi * 250.0,
+                             (300.0, 500.0))
 
     def test_band_must_exclude_other_mode(self):
         x = self._trace(100.0, 250.0, 2 * np.pi * 4.0, 2**14, seed=10)
         with pytest.raises(AnalysisError, match="other mode"):
-            mode_temperature(x, self.mass, 2 * np.pi * 250.0, (150.0, 450.0),
-                             sample_rate=FS, other_omega=2 * np.pi * 400.0)
+            mode_temperature(welch_psd(x, FS), self.mass, 2 * np.pi * 250.0,
+                             (150.0, 450.0), other_omega=2 * np.pi * 400.0)
 
 
 class TestProjection:
@@ -115,13 +115,19 @@ class TestProjection:
         assert np.max(np.abs(mt.z_minus)) < 1e-14
 
     def test_round_trip(self):
+        # particle deviations built from known mode coordinates through
+        # s = e_plus z_plus + e_minus z_minus, e = (r, 1) / sqrt(1 + r^2)
         rng = np.random.default_rng(12)
-        s1 = rng.standard_normal(1000)
-        s2 = rng.standard_normal(1000)
-        mt = project_modes(s1, s2, 0.6275, -1.5936)
-        r1, r2 = mt.reconstruct()
-        assert np.max(np.abs(r1 - s1)) < 1e-10 * np.max(np.abs(s1))
-        assert np.max(np.abs(r2 - s2)) < 1e-10 * np.max(np.abs(s2))
+        z_plus = rng.standard_normal(1000)
+        z_minus = rng.standard_normal(1000)
+        r_plus, r_minus = 0.6275, -1.5936
+        e_plus = np.array([r_plus, 1.0]) / np.sqrt(1.0 + r_plus**2)
+        e_minus = np.array([r_minus, 1.0]) / np.sqrt(1.0 + r_minus**2)
+        s1 = e_plus[0] * z_plus + e_minus[0] * z_minus
+        s2 = e_plus[1] * z_plus + e_minus[1] * z_minus
+        mt = project_modes(s1, s2, r_plus, r_minus)
+        assert np.max(np.abs(mt.z_plus - z_plus)) < 1e-10 * np.max(np.abs(z_plus))
+        assert np.max(np.abs(mt.z_minus - z_minus)) < 1e-10 * np.max(np.abs(z_minus))
 
     def test_degenerate_basis_rejected(self):
         s = np.zeros(10)

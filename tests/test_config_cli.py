@@ -1,5 +1,6 @@
 """Configuration validation, CLI subcommands, exit codes, reproducibility."""
 
+import concurrent.futures
 import csv
 import json
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from cotrap import cli
 from cotrap.cli import main
 from cotrap.config import parse_config, serialize_config
+from cotrap.dynamics import Trajectory
 from cotrap.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -150,11 +152,12 @@ class TestCliModes:
         assert float(record["z_sep_m"]) == pytest.approx(198e-6, abs=2e-6)
 
     def test_config_error_exit_code(self, tmp_path, capsys):
-        # (section, None for the top level; key; value; the name the error
-        # must quote, when it is not the key)
+        # (section, None for the top level; key; value; the names the error
+        # must quote, when it is not the key alone)
         sweep = {"parameter": "noise.t0_kelvin", "values": [1.0, 2.0]}
         particles = base_config()["particles"]
         damper = {"kind": "velocity_damper", "target_mode": "plus", "gamma_fb_rad_per_s": 1.0}
+        squeezer = {"kind": "parametric_squeezer", "target_mode": "plus", "gain_s2": 1.0}
         cases = [
             ("trap", "bogus_key", 1.0),
             ("run", "duration_seconds", float("nan")),
@@ -189,15 +192,23 @@ class TestCliModes:
             (None, "controllers", [dict(damper, gamma_fb_rad_per_s=-1)], "gamma_fb_rad_per_s"),
             (None, "controllers", [dict(damper, bandwidth_rad_per_s=-3)], "bandwidth_rad_per_s"),
             (None, "controllers", [dict(damper, force_limit_newtons=0)], "force_limit_newtons"),
+            (None, "controllers", [dict(damper, notch_bandwidth_rad_per_s=-1)],
+             "notch_bandwidth_rad_per_s", "controllers[0]"),
+            (None, "controllers", [dict(damper, notch=False, notch_bandwidth_rad_per_s=-1)],
+             "notch_bandwidth_rad_per_s", "controllers[0]"),
+            # above the Nyquist rate pi * 2500 Hz
+            (None, "controllers", [dict(squeezer, drive_freq_rad_per_s=1e9)],
+             "drive_freq_rad_per_s", "controllers[0]"),
         ]
-        for section, key, value, *name in cases:
+        for section, key, value, *names in cases:
             raw = base_config()
             (raw if section is None else raw.setdefault(section, {}))[key] = value
             # json.dumps writes NaN and Infinity, which json.load reads back
             path = write_config(tmp_path, raw)
             assert main(["modes", "--config", str(path)]) == 2, (key, value)
-            quoted = name[0] if name else key
-            assert f"'{quoted}'" in capsys.readouterr().err, (key, value)
+            err = capsys.readouterr().err
+            for quoted in names or [key]:
+                assert f"'{quoted}'" in err, (key, value)
 
     def test_instability_exit_code(self, tmp_path, capsys):
         raw = base_config()
@@ -402,6 +413,40 @@ class TestCliSweep:
             assert "'failed'" in lines[1] and error in lines[1]
 
 
+    def test_workers_below_one_rejected(self, tmp_path, capsys):
+        raw = base_config()
+        raw["run"]["duration_seconds"] = 1.0
+        raw["sweep"] = {"parameter": "noise.t0_kelvin", "values": [1.0, 2.0]}
+        path = write_config(tmp_path, raw)
+        for workers in ("0", "-3"):
+            out = tmp_path / f"workers{workers}"
+            assert main(["sweep", "--config", str(path), "--workers", workers,
+                         "--out", str(out)]) == 2
+            assert "'--workers'" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_pool_no_larger_than_the_sweep(self, tmp_path, monkeypatch):
+        # the pool starts every worker at once, so 500 workers for three
+        # points would start 500 interpreters; record the size asked for
+        # and run the points on two threads instead
+        sizes = []
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return concurrent.futures.ThreadPoolExecutor(max_workers=2)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+        raw = base_config()
+        raw["run"]["duration_seconds"] = 1.0
+        raw["sweep"] = {"parameter": "noise.t0_kelvin", "values": [1.0, 2.0, 3.0],
+                        "workers": 500}
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        assert sizes == [3]
+        assert len((out / "sweep.csv").read_text().splitlines()) == 4
+
+
 class TestCliAnalyze:
     def test_analyze_round_trip(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
@@ -416,3 +461,24 @@ class TestCliAnalyze:
         assert report["measured"]["t_mode_plus_kelvin"]["value"] == pytest.approx(
             direct["measured"]["t_mode_plus_kelvin"]["value"], rel=1e-9
         )
+
+    def test_damaged_trajectory_exit_code(self, tmp_path, capsys):
+        n = 8
+        traj = Trajectory(sample_rate=100.0, z1=np.arange(n) - 1e-5, z2=np.arange(n) + 1e-5,
+                          v1=np.zeros(n), v2=np.ones(n), y=None, forces=np.zeros((0, n)),
+                          meta={"seed": 1})
+        traj.to_csv(tmp_path / "good.csv")
+        lines = (tmp_path / "good.csv").read_text().splitlines(keepends=True)
+        n_header = sum(line.startswith("#") for line in lines) + 1  # plus the names row
+        meta = next(i for i, line in enumerate(lines) if line.startswith("# meta = "))
+        damaged = {
+            "header_only.csv": lines[:n_header],
+            # what a simulate killed while writing leaves behind
+            "cut_row.csv": lines[:-1] + [lines[-1][:len(lines[-1]) // 2]],
+            "bad_meta.csv": lines[:meta] + ["# meta = {\"seed\": \n"] + lines[meta + 1:],
+            "renamed_column.csv": [line.replace("z1", "q1") for line in lines],
+        }
+        for name, text in damaged.items():
+            (tmp_path / name).write_text("".join(text))
+            assert main(["analyze", str(tmp_path / name), "--out", str(tmp_path / "an")]) == 2
+            assert f"{name}: damaged trajectory file" in capsys.readouterr().err, name

@@ -12,11 +12,9 @@ from cotrap import (
     detect,
     design_controller,
     mode_structure,
-    parametric_force,
     parametric_threshold,
     project_modes,
     simulate,
-    velocity_damper_force,
 )
 from cotrap.constants import K_B
 from cotrap.feedback import chain_response, _sections
@@ -107,7 +105,7 @@ class TestVelocityDamperChain:
         n = 100_000
         ts = 1.0 / FS
         t = np.arange(1, n + 1) * ts
-        force = velocity_damper_force(np.cos(w * t), cfg)
+        force = Controller(cfg).process(np.cos(w * t), 0.0)
         sub = 20
         tf = (np.arange(n * sub) + 0.5) * (ts / sub) + ts
         held = np.repeat(force, sub)
@@ -118,15 +116,10 @@ class TestVelocityDamperChain:
         assert np.hypot(c, s) == pytest.approx(target, rel=0.01)
         assert np.arctan2(c, s) == pytest.approx(0.0, abs=0.06)
 
-    def test_wrong_kind_rejected(self, modes, damped_pair):
-        cfg = squeezer(modes, damped_pair[0].mass, 1e4)
-        with pytest.raises(ConfigError, match="velocity_damper"):
-            velocity_damper_force(np.zeros(10), cfg)
-
     def test_zero_gain_zero_force(self, modes, damped_pair):
         cfg = damper(modes, damped_pair[0].mass, gain=0.0)
         rng = np.random.default_rng(4)
-        force = velocity_damper_force(1e-6 * rng.standard_normal(5000), cfg)
+        force = Controller(cfg).process(1e-6 * rng.standard_normal(5000), 0.0)
         assert np.max(np.abs(force)) == 0.0
 
 
@@ -169,7 +162,7 @@ class TestParametricChain:
         n = 60_000
         t = np.arange(1, n + 1) / FS
         amp = 1e-6
-        force = parametric_force(amp * np.cos(w * t), cfg)
+        force = Controller(cfg).process(amp * np.cos(w * t), 0.0)
         # the product of the mode tone and the 2w oscillator leaves
         # components at w and 3w with equal weight
         for w_comp in (w, 3 * w):
