@@ -1,0 +1,150 @@
+/* Inner integration and controller loops, a C port of run_block_python
+ * and controller_step in _kernel.py.
+ *
+ * Every floating-point operation is the one the Python reference does, in
+ * the same order, so that with -ffp-contract=off (no fused multiply-add)
+ * and no fast-math the results are bit-identical.  _kernel.py compiles
+ * this file on the first run_block call and checks the dtype, contiguity
+ * and shape of every array before calling in; nothing here re-checks.
+ *
+ * Arrays are C-contiguous: thermal is (n_samples, n_sub, 2), sos is
+ * (n_sections, 5), sos_state (n_sections, 2), dly_buf (n_ctrl, dly_cols)
+ * and out_force (n_ctrl, n_stored).  Integer arrays are int64.
+ */
+
+#include <math.h>
+#include <stdint.h>
+
+#define FAULT_NONE 0
+#define FAULT_CROSSING 1
+#define FAULT_NONFINITE 2
+
+#define KIND_SQUEEZER 1
+
+static double controller_step(
+    double y, double t, int64_t c, const int64_t *kind, const double *sos,
+    const int64_t *sos_off, double *sos_state, double *dly_buf,
+    int64_t dly_cols, const int64_t *dly_len, int64_t *dly_pos,
+    const double *gain_n_per_m, const double *lo_omega, const double *lo_phase,
+    const double *force_limit, int64_t *sat_count)
+{
+    double u = y;
+    for (int64_t s = sos_off[c]; s < sos_off[c + 1]; s++) {
+        const double *b = sos + 5 * s;
+        double *st = sos_state + 2 * s;
+        double out = b[0] * u + st[0];
+        st[0] = b[1] * u - b[3] * out + st[1];
+        st[1] = b[2] * u - b[4] * out;
+        u = out;
+    }
+    /* ring buffer: write, advance, read oldest = u[n - delay] */
+    double *buf = dly_buf + dly_cols * c;
+    buf[dly_pos[c]] = u;
+    dly_pos[c] = (dly_pos[c] + 1) % dly_len[c];
+    double u_sel = buf[dly_pos[c]];
+    if (kind[c] == KIND_SQUEEZER)
+        u_sel = u_sel * sin(lo_omega[c] * t + lo_phase[c]);
+    double f = gain_n_per_m[c] * u_sel;
+    if (f > force_limit[c]) {
+        f = force_limit[c];
+        sat_count[c] += 1;
+    } else if (f < -force_limit[c]) {
+        f = -force_limit[c];
+        sat_count[c] += 1;
+    }
+    return f;
+}
+
+/* Returns the fault code and stores the sample index of the fault (-1 for
+ * none) in *fault_at. */
+int64_t cotrap_run_block(
+    double *pos, double *vel, double m1, double m2, double u1, double u2,
+    double kq, int64_t coulomb_on, double ou_a1, double ou_b1, double ou_a2,
+    double ou_b2, double dt, int64_t n_sub, int64_t block_index0, double ts,
+    int64_t n_samples, const double *thermal, double det_sigma,
+    const double *det_noise, int64_t n_ctrl, const int64_t *kind,
+    const double *sos, const int64_t *sos_off, double *sos_state,
+    double *dly_buf, int64_t dly_cols, const int64_t *dly_len,
+    int64_t *dly_pos, const double *gain_n_per_m, const double *lo_omega,
+    const double *lo_phase, const double *force_limit, int64_t *sat_count,
+    double *hold_force, int64_t store_every, double *out_z1, double *out_z2,
+    double *out_v1, double *out_v2, double *out_y, double *out_force,
+    int64_t n_stored, int64_t *fault_at)
+{
+    double z1 = pos[0];
+    double z2 = pos[1];
+    double v1 = vel[0];
+    double v2 = vel[1];
+    double half = 0.5 * dt;
+    int64_t fault = FAULT_NONE;
+    *fault_at = -1;
+    for (int64_t i = 0; i < n_samples; i++) {
+        double fc_tot = 0.0;
+        for (int64_t c = 0; c < n_ctrl; c++)
+            fc_tot += hold_force[c];
+        const double *xi = thermal + 2 * n_sub * i;
+        double d, fc;
+        for (int64_t j = 0; j < n_sub; j++) {
+            /* B: half kick */
+            d = z2 - z1;
+            fc = coulomb_on ? kq / (d * d) : 0.0;
+            v1 += half * ((-u1 * z1 - fc + fc_tot) / m1);
+            v2 += half * ((-u2 * z2 + fc) / m2);
+            /* A: half drift */
+            z1 += half * v1;
+            z2 += half * v2;
+            /* O: exact damping + thermal kick */
+            v1 = ou_a1 * v1 + ou_b1 * xi[2 * j];
+            v2 = ou_a2 * v2 + ou_b2 * xi[2 * j + 1];
+            /* A: half drift */
+            z1 += half * v1;
+            z2 += half * v2;
+            /* B: half kick */
+            d = z2 - z1;
+            if (coulomb_on) {
+                if (d <= 0.0) {
+                    fault = FAULT_CROSSING;
+                    *fault_at = i;
+                    break;
+                }
+                fc = kq / (d * d);
+            } else {
+                fc = 0.0;
+            }
+            v1 += half * ((-u1 * z1 - fc + fc_tot) / m1);
+            v2 += half * ((-u2 * z2 + fc) / m2);
+        }
+        if (fault != FAULT_NONE)
+            break;
+        if (!(isfinite(z1) && isfinite(z2) && isfinite(v1) && isfinite(v2))) {
+            fault = FAULT_NONFINITE;
+            *fault_at = i;
+            break;
+        }
+        double y = z1 + det_sigma * det_noise[i];
+        int64_t gi = block_index0 + i;
+        if ((gi + 1) % store_every == 0) {
+            int64_t si = (gi + 1) / store_every - 1;
+            out_z1[si] = z1;
+            out_z2[si] = z2;
+            out_v1[si] = v1;
+            out_v2[si] = v2;
+            out_y[si] = y;
+            for (int64_t c = 0; c < n_ctrl; c++)
+                out_force[n_stored * c + si] = hold_force[c];
+        }
+        if (n_ctrl > 0) {
+            double t = (double)(gi + 1) * ts;
+            for (int64_t c = 0; c < n_ctrl; c++)
+                hold_force[c] = controller_step(
+                    y, t, c, kind, sos, sos_off, sos_state, dly_buf, dly_cols,
+                    dly_len, dly_pos, gain_n_per_m, lo_omega, lo_phase,
+                    force_limit, sat_count);
+        }
+    }
+    pos[0] = z1;
+    pos[1] = z2;
+    vel[0] = v1;
+    vel[1] = v2;
+    return fault;
+}

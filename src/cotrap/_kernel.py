@@ -1,7 +1,10 @@
 """Inner integration and controller loops.
 
-Plain Python over numpy arrays and scalars, consuming pre-generated
-noise arrays; this is the one execution backend.
+run_block integrates one block of samples on pre-generated noise arrays.
+It runs the C port in _kernel.c, compiled with the system compiler on the
+first call and cached in this package's __pycache__/, or, when that build
+fails, run_block_python, the plain-Python reference the C port matches bit
+for bit.  BACKEND and BUILD_ERROR record which one runs and why.
 
 Controller state layout (one row / slot per controller):
   sos[s, :]      biquad coefficients b0, b1, b2, a1, a2 (a0 normalized out)
@@ -12,6 +15,16 @@ Controller state layout (one row / slot per controller):
                  squeezer (filtered output mixed with a 2-omega oscillator)
   gain_n_per_m   output force per meter of processed signal, newtons
 """
+
+import ctypes
+import functools
+import hashlib
+import operator
+import os
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +38,16 @@ KIND_SQUEEZER = 1
 # cotrap_bench/ prints this flag, times run_block_python (below) and reads
 # run_block's positional arguments n_sub (index 13) and thermal (index 16)
 NUMBA_ENABLED = False
+
+# no -march=native and no fast-math: they would change the rounding
+_CC = "cc"
+_CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
+_SOURCE = Path(__file__).with_name("_kernel.c")
+_CACHE_DIR = Path(__file__).with_name("__pycache__")
+
+BACKEND = None  # "c" or "python", set by the first run_block call
+BUILD_ERROR = None  # why the C kernel did not load, when BACKEND is "python"
+_c_kernel = None
 
 
 def controller_step(y, t, c, kind, sos, sos_off, sos_state, dly_buf, dly_len,
@@ -80,13 +103,13 @@ def controller_pass(y, t0, ts, kind, sos, sos_off, sos_state, dly_buf, dly_len,
     return 0
 
 
-def run_block(pos, vel, m1, m2, u1, u2, kq, coulomb_on,
-              ou_a1, ou_b1, ou_a2, ou_b2, dt, n_sub,
-              block_index0, ts, thermal, det_sigma, det_noise,
-              kind, sos, sos_off, sos_state, dly_buf, dly_len, dly_pos,
-              gain_n_per_m, lo_omega, lo_phase, force_limit, sat_count,
-              hold_force, store_every, out_z1, out_z2, out_v1, out_v2,
-              out_y, out_force):
+def run_block_python(pos, vel, m1, m2, u1, u2, kq, coulomb_on,
+                     ou_a1, ou_b1, ou_a2, ou_b2, dt, n_sub,
+                     block_index0, ts, thermal, det_sigma, det_noise,
+                     kind, sos, sos_off, sos_state, dly_buf, dly_len, dly_pos,
+                     gain_n_per_m, lo_omega, lo_phase, force_limit, sat_count,
+                     hold_force, store_every, out_z1, out_z2, out_v1, out_v2,
+                     out_y, out_force):
     """Integrate one block of output samples with feedback held per sample.
 
     Symplectic drift-kick steps wrapped around an exact damping/noise
@@ -173,4 +196,138 @@ def run_block(pos, vel, m1, m2, u1, u2, kq, coulomb_on,
     return fault, fault_at
 
 
-run_block_python = run_block
+def _library_path():
+    """The cached build of _kernel.c, named by the platform and a hash of
+    the source, the compiler command and the flags."""
+    key = hashlib.sha256(b"\0".join(
+        [_SOURCE.read_bytes(), _CC.encode(), *(flag.encode() for flag in _CFLAGS)]
+    )).hexdigest()[:16]
+    return _CACHE_DIR / f"_kernel.{sysconfig.get_platform()}.{key}.so"
+
+
+def _build(path):
+    """Compile _kernel.c into path.
+
+    The compiler writes a private temporary file that is renamed onto path,
+    so processes building at the same time never load a half-written file.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    os.close(fd)
+    try:
+        cmd = [_CC, *_CFLAGS, "-o", tmp, str(_SOURCE), "-lm"]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise OSError(f"{' '.join(cmd)} exited with {proc.returncode}: {proc.stderr.strip()}")
+        os.chmod(tmp, 0o755)  # mkstemp made it private to this user
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+# cotrap_run_block's parameters in order: P pointer, D double, I int64
+_C_ARGTYPES = [{"P": ctypes.c_void_p, "D": ctypes.c_double, "I": ctypes.c_int64}[k]
+               for k in "PP" "DDDDD" "I" "DDDDD" "IIDIPDP" "I" "PPPPP" "I" "PPPPPPPP"
+                        "I" "PPPPPP" "I" "P"]
+
+
+def _load():
+    """Build or reuse the compiled kernel and set BACKEND and BUILD_ERROR."""
+    global BACKEND, BUILD_ERROR, _c_kernel
+    try:
+        path = _library_path()
+        if not path.exists():
+            _build(path)
+        fn = ctypes.CDLL(str(path)).cotrap_run_block
+    except OSError as exc:  # no compiler, a failed compile, an unwritable cache, a bad file
+        BACKEND, BUILD_ERROR, _c_kernel = "python", str(exc), None
+        return
+    fn.argtypes = _C_ARGTYPES
+    fn.restype = ctypes.c_int64
+    BACKEND, BUILD_ERROR, _c_kernel = "c", None, fn
+
+
+def _buffer(name, a, dtype, shape, writes=False):
+    """The data address of a, which must be a C-contiguous array of dtype
+    and shape (None matches any length), writable when the kernel writes it."""
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == len(shape)
+            and all(n is None or n == m for n, m in zip(shape, a.shape))
+            and a.flags.c_contiguous and (a.flags.writeable or not writes)):
+        got = f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
+        order = "C-contiguous writable" if writes else "C-contiguous"
+        raise ValueError(f"run_block: {name} must be a {order} {np.dtype(dtype)} array "
+                         f"of shape {shape}, got {got}")
+    return a.ctypes.data
+
+
+def _c_args(pos, vel, m1, m2, u1, u2, kq, coulomb_on,
+            ou_a1, ou_b1, ou_a2, ou_b2, dt, n_sub,
+            block_index0, ts, thermal, det_sigma, det_noise,
+            kind, sos, sos_off, sos_state, dly_buf, dly_len, dly_pos,
+            gain_n_per_m, lo_omega, lo_phase, force_limit, sat_count,
+            hold_force, store_every, out_z1, out_z2, out_v1, out_v2,
+            out_y, out_force):
+    """run_block's arguments as cotrap_run_block takes them.
+
+    Checks the dtype, contiguity and shape of every array and every index
+    the loop reads from an array, so that a mismatch raises ValueError
+    instead of reading or writing out of bounds.
+    """
+    f8, i8 = np.float64, np.int64
+    n_sub, block_index0 = operator.index(n_sub), operator.index(block_index0)
+    store_every = operator.index(store_every)
+    p_thermal = _buffer("thermal", thermal, f8, (None, n_sub, 2))
+    p_kind = _buffer("kind", kind, i8, (None,))
+    p_sos = _buffer("sos", sos, f8, (None, 5))
+    p_dly_buf = _buffer("dly_buf", dly_buf, f8, (kind.shape[0], None), writes=True)
+    p_out_z1 = _buffer("out_z1", out_z1, f8, (None,), writes=True)
+    n_samples, n_ctrl, n_sec = thermal.shape[0], kind.shape[0], sos.shape[0]
+    dly_cols, n_stored = dly_buf.shape[1], out_z1.shape[0]
+    ctrl = (n_ctrl,)
+    args = (
+        _buffer("pos", pos, f8, (2,), writes=True),
+        _buffer("vel", vel, f8, (2,), writes=True),
+        m1, m2, u1, u2, kq, int(bool(coulomb_on)), ou_a1, ou_b1, ou_a2, ou_b2,
+        dt, n_sub, block_index0, ts, n_samples, p_thermal, det_sigma,
+        _buffer("det_noise", det_noise, f8, (n_samples,)),
+        n_ctrl, p_kind, p_sos,
+        _buffer("sos_off", sos_off, i8, (n_ctrl + 1,)),
+        _buffer("sos_state", sos_state, f8, (n_sec, 2), writes=True),
+        p_dly_buf, dly_cols,
+        _buffer("dly_len", dly_len, i8, ctrl),
+        _buffer("dly_pos", dly_pos, i8, ctrl, writes=True),
+        _buffer("gain_n_per_m", gain_n_per_m, f8, ctrl),
+        _buffer("lo_omega", lo_omega, f8, ctrl),
+        _buffer("lo_phase", lo_phase, f8, ctrl),
+        _buffer("force_limit", force_limit, f8, ctrl),
+        _buffer("sat_count", sat_count, i8, ctrl, writes=True),
+        _buffer("hold_force", hold_force, f8, ctrl, writes=True),
+        store_every, p_out_z1,
+        *(_buffer(name, a, f8, (n_stored,), writes=True)
+          for name, a in (("out_z2", out_z2), ("out_v1", out_v1),
+                          ("out_v2", out_v2), ("out_y", out_y))),
+        _buffer("out_force", out_force, f8, (n_ctrl, n_stored), writes=True),
+        n_stored,
+    )
+    if not np.all(np.diff(sos_off, prepend=0, append=n_sec) >= 0):
+        raise ValueError(f"run_block: sos_off {sos_off} must rise from 0 to at most {n_sec}")
+    if not np.all((dly_len >= 1) & (dly_len <= dly_cols) & (dly_pos >= 0) & (dly_pos < dly_len)):
+        raise ValueError(f"run_block: need 1 <= dly_len <= {dly_cols} and 0 <= dly_pos < dly_len")
+    if not (store_every >= 1 and block_index0 >= 0
+            and (block_index0 + n_samples) // store_every <= n_stored):
+        raise ValueError(f"run_block: samples {block_index0} + {n_samples} stored every "
+                         f"{store_every} do not fit {n_stored} output slots")
+    return args
+
+
+@functools.wraps(run_block_python)
+def run_block(*args):
+    if BACKEND is None:
+        _load()
+    c_args = _c_args(*args)
+    if _c_kernel is None:
+        return run_block_python(*args)
+    fault_at = ctypes.c_int64()
+    fault = _c_kernel(*c_args, ctypes.byref(fault_at))
+    return fault, fault_at.value

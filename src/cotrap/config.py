@@ -389,11 +389,13 @@ def _resolve_raw(raw, run, noise, detection):
 
 
 def load_config(path, seed_override=None):
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    except OSError as exc:  # missing, unreadable, a directory
+        raise ConfigError(f"{path}: cannot read configuration ({exc.strerror or exc})") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return parse_config(raw, seed_override=seed_override)
 
 

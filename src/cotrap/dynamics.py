@@ -208,6 +208,8 @@ class Trajectory:
             with warnings.catch_warnings():  # no data rows is checked below
                 warnings.simplefilter("ignore", UserWarning)
                 data = np.loadtxt(path, delimiter=",", skiprows=n_header + 1, ndmin=2)
+        except OSError as exc:  # missing, unreadable, a directory
+            raise ConfigError(f"{path}: cannot read trajectory file ({exc.strerror or exc})") from None
         except ValueError as exc:  # a bad meta line, number or row width
             raise ConfigError(f"{path}: damaged trajectory file ({exc})") from None
         if data.shape[0] == 0:

@@ -209,6 +209,9 @@ class TestCliModes:
             err = capsys.readouterr().err
             for quoted in names or [key]:
                 assert f"'{quoted}'" in err, (key, value)
+        for path in (tmp_path / "nonexistent.json", tmp_path):
+            assert main(["modes", "--config", str(path)]) == 2, path
+            assert f"{path}: cannot read configuration" in capsys.readouterr().err
 
     def test_instability_exit_code(self, tmp_path, capsys):
         raw = base_config()
@@ -482,3 +485,6 @@ class TestCliAnalyze:
             (tmp_path / name).write_text("".join(text))
             assert main(["analyze", str(tmp_path / name), "--out", str(tmp_path / "an")]) == 2
             assert f"{name}: damaged trajectory file" in capsys.readouterr().err, name
+        for path in (tmp_path / "nonexistent.csv", tmp_path):
+            assert main(["analyze", str(path), "--out", str(tmp_path / "an")]) == 2, path
+            assert f"{path}: cannot read trajectory file" in capsys.readouterr().err

@@ -1,5 +1,12 @@
 """Integrator correctness: determinism, thermal statistics, faults."""
 
+import os
+import shutil
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -235,10 +242,6 @@ def assert_same_run(a, b):
 
 class TestKernelParity:
     def test_backend_matches_python_reference(self, paper_trap, monkeypatch):
-        # one test looping over the cases, so that it is one skip while
-        # run_block is the Python reference itself
-        if _kernel.run_block is _kernel.run_block_python:
-            pytest.skip("one kernel backend")
         ms = mode_structure(paper_trap, *make_pair(2135, 906))
         cases = [(name, dict(controllers=c), None)
                  for name, c in controller_sets(paper_trap).items()]
@@ -263,6 +266,94 @@ class TestKernelParity:
                 assert_same_run(*runs)
             else:
                 assert runs[0] == runs[1], name
+
+
+# builds the kernel into the cache directory argv[1] once argv[2] exists
+_RACE_SCRIPT = """
+import os, sys, time
+from pathlib import Path
+from cotrap import _kernel
+_kernel._CACHE_DIR = Path(sys.argv[1])
+go = Path(sys.argv[2])
+(go.parent / f"ready.{os.getpid()}").touch()
+while not go.exists():
+    time.sleep(0.005)
+_kernel._load()
+print(_kernel.BACKEND, _kernel.BUILD_ERROR)
+"""
+
+
+class TestKernelBuild:
+    """The compiled kernel is built on first use, or run_block falls back."""
+
+    def test_compiled_kernel_loads_where_a_compiler_is(self, paper_trap):
+        closed_loop(paper_trap)
+        expected = "c" if shutil.which(_kernel._CC) else "python"
+        assert _kernel.BACKEND == expected, _kernel.BUILD_ERROR
+
+    def test_fallback_without_compiler(self, paper_trap, monkeypatch, tmp_path):
+        controllers = controller_sets(paper_trap)["damper+squeezer"]
+        compiled = closed_loop(paper_trap, controllers)
+        calls = []
+        python = _kernel.run_block_python
+        monkeypatch.setattr(_kernel, "run_block_python", lambda *a: calls.append(a) or python(*a))
+        monkeypatch.setattr(_kernel, "_CC", str(tmp_path / "no-such-cc"))
+        monkeypatch.setattr(_kernel, "_CACHE_DIR", tmp_path)
+        monkeypatch.setattr(_kernel, "BACKEND", None)
+        monkeypatch.setattr(_kernel, "BUILD_ERROR", None)
+        monkeypatch.setattr(_kernel, "_c_kernel", None)
+        fallback = closed_loop(paper_trap, controllers)
+        assert _kernel.BACKEND == "python"
+        assert "no-such-cc" in _kernel.BUILD_ERROR
+        assert calls
+        assert_same_run(compiled, fallback)
+        assert list(tmp_path.iterdir()) == []  # the temporary output is removed
+
+    def test_bad_arrays_raise_before_the_kernel_runs(self, paper_trap, monkeypatch):
+        blocks = []
+        run_block = _kernel.run_block
+        monkeypatch.setattr(_kernel, "run_block", lambda *a: blocks.append(a) or run_block(*a))
+        closed_loop(paper_trap, controller_sets(paper_trap)["damper"])
+        args = blocks[0]
+        thermal, out_force = args[16], args[38]
+        cases = [
+            (16, thermal.astype(np.float32), "thermal"),
+            (16, np.asfortranarray(thermal), "thermal"),
+            (38, np.zeros((2, out_force.shape[1])), "out_force"),
+        ]
+        for index, value, name in cases:
+            bad = list(args)
+            bad[index] = value
+            bad[0] = pos = np.array([1.0, 2.0])
+            with pytest.raises(ValueError, match=name):
+                run_block(*bad)
+            assert np.array_equal(pos, [1.0, 2.0]), name  # the loop never ran
+
+    def test_cold_cache_race(self, tmp_path):
+        if shutil.which(_kernel._CC) is None:
+            pytest.skip(f"no C compiler '{_kernel._CC}' on PATH")
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        go = tmp_path / "go"
+        env = dict(os.environ, PYTHONPATH=str(Path(_kernel.__file__).parents[1]))
+        procs = [subprocess.Popen([sys.executable, "-c", _RACE_SCRIPT, str(cache), str(go)],
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  text=True, env=env)
+                 for _ in range(2)]
+        try:
+            deadline = time.monotonic() + 60
+            while len(list(tmp_path.glob("ready.*"))) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            go.touch()
+            outputs = [p.communicate(timeout=60) for p in procs]
+        finally:
+            for p in procs:
+                p.kill()
+        for p, (out, err) in zip(procs, outputs):
+            assert p.returncode == 0, err
+            assert out.split() == ["c", "None"], out
+        files = list(cache.iterdir())
+        assert len(files) == 1 and files[0].suffix == ".so", files
 
 
 class TestOfflineControllerPath:
