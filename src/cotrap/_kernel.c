@@ -1,15 +1,17 @@
-/* Inner integration and controller loops, a C port of run_block_python
- * and controller_step in _kernel.py.
+/* Inner integration and controller loops, a C port of run_block_python,
+ * controller_step and sosfilt_python in _kernel.py.
  *
  * Every floating-point operation is the one the Python reference does, in
  * the same order, so that with -ffp-contract=off (no fused multiply-add)
  * and no fast-math the results are bit-identical.  _kernel.py compiles
- * this file on the first run_block call and checks the dtype, contiguity
- * and shape of every array before calling in; nothing here re-checks.
+ * this file on the first run_block or sosfilt call and checks the dtype,
+ * contiguity and shape of every array before calling in; nothing here
+ * re-checks.
  *
  * Arrays are C-contiguous: thermal is (n_samples, n_sub, 2), sos is
- * (n_sections, 5), sos_state (n_sections, 2), dly_buf (n_ctrl, dly_cols)
- * and out_force (n_ctrl, n_stored).  Integer arrays are int64.
+ * (n_sections, 5) in run_block and (n_sections, 6) in sosfilt, sos_state
+ * (n_sections, 2), dly_buf (n_ctrl, dly_cols) and out_force
+ * (n_ctrl, n_stored).  Integer arrays are int64.
  */
 
 #include <math.h>
@@ -21,6 +23,16 @@
 
 #define KIND_SQUEEZER 1
 
+/* One transposed-direct-form-II biquad step: b = (b0, b1, b2), a = (a1, a2),
+ * st its two state slots.  The order is scipy.signal's _sosfilt. */
+static double biquad(const double *b, const double *a, double *st, double u)
+{
+    double out = b[0] * u + st[0];
+    st[0] = b[1] * u - a[0] * out + st[1];
+    st[1] = b[2] * u - a[1] * out;
+    return out;
+}
+
 static double controller_step(
     double y, double t, int64_t c, const int64_t *kind, const double *sos,
     const int64_t *sos_off, double *sos_state, double *dly_buf,
@@ -29,14 +41,8 @@ static double controller_step(
     const double *force_limit, int64_t *sat_count)
 {
     double u = y;
-    for (int64_t s = sos_off[c]; s < sos_off[c + 1]; s++) {
-        const double *b = sos + 5 * s;
-        double *st = sos_state + 2 * s;
-        double out = b[0] * u + st[0];
-        st[0] = b[1] * u - b[3] * out + st[1];
-        st[1] = b[2] * u - b[4] * out;
-        u = out;
-    }
+    for (int64_t s = sos_off[c]; s < sos_off[c + 1]; s++)
+        u = biquad(sos + 5 * s, sos + 5 * s + 3, sos_state + 2 * s, u);
     /* ring buffer: write, advance, read oldest = u[n - delay] */
     double *buf = dly_buf + dly_cols * c;
     buf[dly_pos[c]] = u;
@@ -147,4 +153,18 @@ int64_t cotrap_run_block(
     vel[0] = v1;
     vel[1] = v2;
     return fault;
+}
+
+/* Filters x in place through n_sections biquads in scipy.signal's layout,
+ * sos (n_sections, 6) = b0 b1 b2 a0 a1 a2 with a0 = 1, starting from state
+ * (n_sections, 2), which it updates. */
+void cotrap_sosfilt(const double *sos, int64_t n_sections, double *state,
+                    double *x, int64_t n_samples)
+{
+    for (int64_t i = 0; i < n_samples; i++) {
+        double u = x[i];
+        for (int64_t s = 0; s < n_sections; s++)
+            u = biquad(sos + 6 * s, sos + 6 * s + 4, state + 2 * s, u);
+        x[i] = u;
+    }
 }

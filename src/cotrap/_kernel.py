@@ -1,10 +1,11 @@
-"""Inner integration and controller loops.
+"""Inner integration, controller and filter loops.
 
-run_block integrates one block of samples on pre-generated noise arrays.
-It runs the C port in _kernel.c, compiled with the system compiler on the
-first call and cached in this package's __pycache__/, or, when that build
-fails, run_block_python, the plain-Python reference the C port matches bit
-for bit.  BACKEND and BUILD_ERROR record which one runs and why.
+run_block integrates one block of samples on pre-generated noise arrays;
+sosfilt runs a signal through second-order sections.  Both run the C port
+in _kernel.c, compiled with the system compiler on the first call and
+cached in this package's __pycache__/, or, when that build fails,
+run_block_python and sosfilt_python, the plain-Python references the C port
+matches bit for bit.  BACKEND and BUILD_ERROR record which one runs and why.
 
 Controller state layout (one row / slot per controller):
   sos[s, :]      biquad coefficients b0, b1, b2, a1, a2 (a0 normalized out)
@@ -45,9 +46,10 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
 
-BACKEND = None  # "c" or "python", set by the first run_block call
+BACKEND = None  # "c" or "python", set by the first run_block or sosfilt call
 BUILD_ERROR = None  # why the C kernel did not load, when BACKEND is "python"
 _c_kernel = None
+_c_sosfilt = None
 
 
 def controller_step(y, t, c, kind, sos, sos_off, sos_state, dly_buf, dly_len,
@@ -196,6 +198,26 @@ def run_block_python(pos, vel, m1, m2, u1, u2, kq, coulomb_on,
     return fault, fault_at
 
 
+def sosfilt_python(sos, x):
+    """x filtered through the second-order sections sos from zero state.
+
+    sos has scipy.signal's layout, one row b0 b1 b2 a0 a1 a2 per section
+    with a0 = 1.  Each section takes controller_step's transposed-direct-
+    form-II step, which is also the order of scipy.signal.sosfilt.
+    """
+    sections = sos[:, [0, 1, 2, 4, 5]].tolist()
+    state = [[0.0, 0.0] for _ in sections]
+    out = x.tolist()
+    for i, u in enumerate(out):
+        for (b0, b1, b2, a1, a2), st in zip(sections, state):
+            y = b0 * u + st[0]
+            st[0] = b1 * u - a1 * y + st[1]
+            st[1] = b2 * u - a2 * y
+            u = y
+        out[i] = u
+    return np.array(out)
+
+
 def _library_path():
     """The cached build of _kernel.c, named by the platform and a hash of
     the source, the compiler command and the flags."""
@@ -234,21 +256,25 @@ _C_ARGTYPES = [{"P": ctypes.c_void_p, "D": ctypes.c_double, "I": ctypes.c_int64}
 
 def _load():
     """Build or reuse the compiled kernel and set BACKEND and BUILD_ERROR."""
-    global BACKEND, BUILD_ERROR, _c_kernel
+    global BACKEND, BUILD_ERROR, _c_kernel, _c_sosfilt
     try:
         path = _library_path()
         if not path.exists():
             _build(path)
-        fn = ctypes.CDLL(str(path)).cotrap_run_block
+        lib = ctypes.CDLL(str(path))
+        fn, filt = lib.cotrap_run_block, lib.cotrap_sosfilt
     except OSError as exc:  # no compiler, a failed compile, an unwritable cache, a bad file
-        BACKEND, BUILD_ERROR, _c_kernel = "python", str(exc), None
+        BACKEND, BUILD_ERROR, _c_kernel, _c_sosfilt = "python", str(exc), None, None
         return
     fn.argtypes = _C_ARGTYPES
     fn.restype = ctypes.c_int64
-    BACKEND, BUILD_ERROR, _c_kernel = "c", None, fn
+    filt.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+                     ctypes.c_int64]
+    filt.restype = None
+    BACKEND, BUILD_ERROR, _c_kernel, _c_sosfilt = "c", None, fn, filt
 
 
-def _buffer(name, a, dtype, shape, writes=False):
+def _buffer(name, a, dtype, shape, writes=False, caller="run_block"):
     """The data address of a, which must be a C-contiguous array of dtype
     and shape (None matches any length), writable when the kernel writes it."""
     if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == len(shape)
@@ -256,7 +282,7 @@ def _buffer(name, a, dtype, shape, writes=False):
             and a.flags.c_contiguous and (a.flags.writeable or not writes)):
         got = f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
         order = "C-contiguous writable" if writes else "C-contiguous"
-        raise ValueError(f"run_block: {name} must be a {order} {np.dtype(dtype)} array "
+        raise ValueError(f"{caller}: {name} must be a {order} {np.dtype(dtype)} array "
                          f"of shape {shape}, got {got}")
     return a.ctypes.data
 
@@ -331,3 +357,24 @@ def run_block(*args):
     fault_at = ctypes.c_int64()
     fault = _c_kernel(*c_args, ctypes.byref(fault_at))
     return fault, fault_at.value
+
+
+def sosfilt(sos, x):
+    """sosfilt_python(sos, x), run in C unless the C build failed.
+
+    sos must be a C-contiguous float64 (n_sections, 6) array with a0 = 1 and
+    x a C-contiguous float64 vector; anything else raises ValueError,
+    whichever backend runs.
+    """
+    if BACKEND is None:
+        _load()
+    p_sos = _buffer("sos", sos, np.float64, (None, 6), caller="sosfilt")
+    _buffer("x", x, np.float64, (None,), caller="sosfilt")
+    if not np.all(sos[:, 3] == 1.0):
+        raise ValueError(f"sosfilt: sos[:, 3] must be all ones, got {sos[:, 3]}")
+    if _c_sosfilt is None:
+        return sosfilt_python(sos, x)
+    out = x.copy()
+    state = np.zeros((sos.shape[0], 2))
+    _c_sosfilt(p_sos, sos.shape[0], state.ctypes.data, out.ctypes.data, out.shape[0])
+    return out

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
+from . import _kernel
 from .constants import K_B
 from .errors import AnalysisError
 
@@ -88,45 +88,82 @@ class Psd:
         return float(f[k] + shift * self.df)
 
 
+def get_window(name, n):
+    """The n-point periodic window called name, as scipy.signal.get_window
+    returns it.
+
+    "hann" is computed here in scipy's own arithmetic: a cosine sum on n + 1
+    points with the last one dropped.  Any other name is looked up in
+    scipy.signal, which is imported only then.
+    """
+    if name != "hann":
+        from scipy.signal import get_window as scipy_get_window
+
+        return scipy_get_window(name, n)
+    if n == 1:
+        return np.ones(1)
+    fac = np.linspace(-np.pi, np.pi, n + 1)
+    w = np.zeros(n + 1)
+    for k, a in enumerate(np.asarray([0.5, 0.5])):
+        w += a * np.cos(k * fac)
+    return w[:-1]
+
+
+def _segmentation(n, segment_length, overlap):
+    """(segment_length, samples of overlap) for a trace of n samples."""
+    if segment_length is None:
+        segment_length = min(n, 2 ** int(np.log2(max(n // 8, 16))))
+    segment_length = int(segment_length)
+    if segment_length > n:
+        raise AnalysisError(f"segment_length {segment_length} exceeds trace length {n}")
+    if segment_length < 1:
+        raise AnalysisError(f"segment_length must be >= 1, got {segment_length}")
+    if not 0 <= overlap < 1:
+        raise AnalysisError("overlap must be in [0, 1)")
+    return segment_length, int(segment_length * overlap)
+
+
+def _segment_ffts(x, sample_rate, window, nperseg, noverlap):
+    """One-sided FFTs of the windowed, mean-removed segments of x, one row
+    per segment, scaled so that |X|^2 is a density.
+
+    The arithmetic is scipy.signal.welch's and csd's (ShortTimeFFT with
+    scale_to="psd"), so the spectra built from these rows match them bit
+    for bit.
+    """
+    step = nperseg - noverlap
+    segs = np.lib.stride_tricks.sliding_window_view(x, nperseg)[::step]
+    segs = segs[:(len(x) - noverlap) // step]
+    win = get_window(window, nperseg)
+    win = win * (1 / np.sqrt(sum(win**2) / (1 / sample_rate)))
+    return np.fft.rfft((segs - segs.mean(axis=-1, keepdims=True)) * win, axis=-1)
+
+
+def _average(p, nperseg):
+    """One-sided spectrum from per-segment rows: every bin but DC (and
+    Nyquist, for even nperseg) doubled, then the mean over segments."""
+    p = np.ascontiguousarray(p.T)
+    p[1:-1 if nperseg % 2 == 0 else None] *= 2
+    return p.mean(axis=-1) if p.shape[-1] > 1 else p.reshape(-1)
+
+
 def welch_psd(trace, sample_rate, segment_length=None, overlap=0.5, window="hann"):
     """Averaged modified-periodogram PSD of a real trace.
 
     The mean is removed per segment; windows are power-corrected so that
     the integral of the PSD matches the trace variance.
     """
-    from scipy import signal
-
     x = np.asarray(trace, dtype=float)
-    if segment_length is None:
-        segment_length = min(len(x), 2 ** int(np.log2(max(len(x) // 8, 16))))
-    segment_length = int(segment_length)
-    if segment_length > len(x):
-        raise AnalysisError(
-            f"segment_length {segment_length} exceeds trace length {len(x)}"
-        )
-    if not 0 <= overlap < 1:
-        raise AnalysisError("overlap must be in [0, 1)")
-    noverlap = int(segment_length * overlap)
-    freqs, values = signal.welch(
-        x,
-        fs=sample_rate,
-        window=window,
-        nperseg=segment_length,
-        noverlap=noverlap,
-        detrend="constant",
-        scaling="density",
-        return_onesided=True,
-    )
-    step = segment_length - noverlap
-    n_averages = 1 + (len(x) - segment_length) // step
+    segment_length, noverlap = _segmentation(len(x), segment_length, overlap)
+    spec = _segment_ffts(x, sample_rate, window, segment_length, noverlap)
     return Psd(
-        frequencies=freqs,
-        values=values,
+        frequencies=np.fft.rfftfreq(segment_length, 1 / sample_rate),
+        values=_average(spec.real**2 + spec.imag**2, segment_length),
         sample_rate=sample_rate,
         window=window,
         segment_length=segment_length,
         overlap=overlap,
-        n_averages=n_averages,
+        n_averages=len(spec),
     )
 
 
@@ -251,6 +288,8 @@ def _mixing_ratio(num, den):
     The minimum of that Rayleigh quotient is the smallest generalized
     eigenvalue of (num, den); r follows from its eigenvector.
     """
+    from scipy import linalg
+
     try:
         _, vecs = linalg.eigh(num, den)
     except linalg.LinAlgError as exc:
@@ -271,25 +310,25 @@ def fit_r_pm(s1, s2, sample_rate, segment_length=None, overlap=0.5, window="hann
     vice versa.  Returns the fitted ratios and the worst residual leakage
     (off-mode band power over on-mode band power, in dB).
     """
-    from scipy import signal
-
     s1 = np.asarray(s1, dtype=float)
     s2 = np.asarray(s2, dtype=float)
-    psd1 = welch_psd(s1, sample_rate, segment_length, overlap, window)
-    freqs = psd1.frequencies
-    if segment_length is None:
-        segment_length = psd1.segment_length
-    noverlap = int(segment_length * overlap)
-    _, p22 = signal.welch(s2, fs=sample_rate, window=window, nperseg=segment_length,
-                          noverlap=noverlap, detrend="constant")
-    _, p12 = signal.csd(s1, s2, fs=sample_rate, window=window, nperseg=segment_length,
-                        noverlap=noverlap, detrend="constant")
-    p11 = psd1.values
+    if s1.shape != s2.shape:
+        raise AnalysisError("s1 and s2 must have equal length")
+    segment_length, noverlap = _segmentation(len(s1), segment_length, overlap)
+    x1 = _segment_ffts(s1, sample_rate, window, segment_length, noverlap)
+    x2 = _segment_ffts(s2, sample_rate, window, segment_length, noverlap)
+    freqs = np.fft.rfftfreq(segment_length, 1 / sample_rate)
+    p11 = _average(x1.real**2 + x1.imag**2, segment_length)
+    p22 = _average(x2.real**2 + x2.imag**2, segment_length)
+    # csd's own expression: for a large enough array numpy multiplies into the
+    # conj() temporary, which orders the fused multiply-add differently
+    p12 = _average(x2 * x1.conj(), segment_length)
+    n_averages = len(x1)
 
     combined = p11 + p22
     k1 = int(np.argmax(combined[1:])) + 1
     lo1, hi1 = auto_band(Psd(freqs, combined, sample_rate, window, segment_length,
-                             overlap, psd1.n_averages), freqs[k1])
+                             overlap, n_averages), freqs[k1])
     mask = (freqs < lo1) | (freqs > hi1)
     mask[0] = False
     if not np.any(mask):
@@ -299,7 +338,7 @@ def fit_r_pm(s1, s2, sample_rate, segment_length=None, overlap=0.5, window="hann
     if combined[k2] < 10.0 * np.median(combined[1:]):
         raise AnalysisError("second mode peak not resolved above the background")
     lo2, hi2 = auto_band(Psd(freqs, combined, sample_rate, window, segment_length,
-                             overlap, psd1.n_averages), freqs[k2])
+                             overlap, n_averages), freqs[k2])
     bands = sorted([(lo1, hi1), (lo2, hi2)])
     band_lo, band_hi = bands
     if band_lo[1] >= band_hi[0]:
@@ -343,6 +382,28 @@ class QuadratureTrace:
         return self.x[self.settle_samples:], self.y[self.settle_samples:]
 
 
+def _butter4_sos(wn):
+    """Second-order sections of the 4th-order Butterworth low-pass with
+    normalized cutoff 0 < wn < 1, as scipy.signal.butter(4, wn, output="sos")
+    computes them: analog poles at the prewarped cutoff, the bilinear map,
+    conjugate pairs averaged, the pole nearest the unit circle in the last
+    section and the gain in the first.
+    """
+    warped = float(2 * 2.0 * np.tan(np.pi * np.asarray(wn, dtype=np.float64) / 2.0))
+    p = warped * -np.exp(1j * np.pi * np.arange(-3, 4, 2, dtype=np.float64) / (2 * 4))
+    gain = warped**4 * np.real(1.0 / np.prod(4.0 - p))
+    p = (4.0 + p) / (4.0 - p)
+    p = p[np.lexsort((abs(p.imag), p.real))]
+    p = (p[p.imag > 0] + p[p.imag < 0].conj()) / 2
+    near = np.argmin(np.abs(1 - np.abs(p)))
+    sos = np.zeros((2, 6))
+    for row, pole in ((0, p[1 - near]), (1, p[near])):
+        sos[row, :3] = (1.0, 2.0, 1.0)  # the double zero at z = -1
+        sos[row, 3:] = np.poly([pole, pole.conj()])
+    sos[0, :3] *= gain
+    return sos
+
+
 def demodulate(trace, omega, lowpass_bandwidth, sample_rate, *,
                mode_separation=None, gamma0=None):
     """Quadratures by mixing with cos/sin at omega and low-pass filtering.
@@ -351,8 +412,6 @@ def demodulate(trace, omega, lowpass_bandwidth, sample_rate, *,
     the damping rate) while rejecting the other mode and the 2-omega
     mixing image; violations of the provided bounds raise.
     """
-    from scipy import signal
-
     z = np.asarray(trace, dtype=float)
     if lowpass_bandwidth <= 0:
         raise AnalysisError("lowpass_bandwidth must be > 0")
@@ -371,10 +430,12 @@ def demodulate(trace, omega, lowpass_bandwidth, sample_rate, *,
     nyq = math.pi * sample_rate
     if not 0 < omega < nyq:
         raise AnalysisError("demodulation frequency outside (0, Nyquist)")
+    if lowpass_bandwidth >= nyq:
+        raise AnalysisError("lowpass bandwidth must be below the Nyquist frequency")
     t = np.arange(1, len(z) + 1) / sample_rate
-    sos = signal.butter(4, lowpass_bandwidth / nyq, output="sos")
-    x = signal.sosfilt(sos, 2.0 * z * np.cos(omega * t))
-    y = signal.sosfilt(sos, 2.0 * z * np.sin(omega * t))
+    sos = _butter4_sos(lowpass_bandwidth / nyq)
+    x = _kernel.sosfilt(sos, 2.0 * z * np.cos(omega * t))
+    y = _kernel.sosfilt(sos, 2.0 * z * np.sin(omega * t))
     settle = min(int(10.0 * sample_rate * 2.0 * math.pi / lowpass_bandwidth), len(z))
     return QuadratureTrace(
         t=t, x=x, y=y, omega=omega, bandwidth=lowpass_bandwidth,

@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import get_window
 from .dynamics import NoiseModel
-from .errors import ConfigError
+from .errors import ConfigError, UnstableAxisError
 from .feedback import KINDS, DetectionModel
-from .trap import ParticleSpec, TrapConfig, epstein_gamma
+from .trap import ParticleSpec, TrapConfig, epstein_gamma, stability_params
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config", "serialize_config"]
 
@@ -54,8 +55,6 @@ def _string(section, key, val):
 
 
 def _window(section, key, val):
-    from scipy.signal import get_window
-
     if isinstance(val, str):
         try:
             get_window(val, 16)
@@ -265,7 +264,7 @@ class ExperimentConfig:
     resolved: dict = field(default_factory=dict)
 
 
-def _parse_particle(idx, data, t0):
+def _parse_particle(idx, data, t0, trap):
     section = f"particles[{idx}]"
     p = _section(section, data, _SCHEMA["particle"])
     mass, radius, density, gamma0 = p["mass"], p["radius"], p["density"], p["gamma0"]
@@ -290,7 +289,19 @@ def _parse_particle(idx, data, t0):
         gamma0 = 0.0
     if not (math.isfinite(mass) and math.isfinite(gamma0)):
         raise ConfigError(f"section '{section}': derived mass or damping rate is out of range")
-    return ParticleSpec(charge_e=p["charge_e"], mass=mass, gamma0=gamma0)
+    particle = ParticleSpec(charge_e=p["charge_e"], mass=mass, gamma0=gamma0)
+    try:
+        stability_params(trap, particle)
+    except UnstableAxisError:
+        pass  # a physical outcome, reported where the theory is used
+    except ConfigError:
+        mass_keys = ("'mass_kg'" if p["mass"] is not None
+                     else "'radius_meters' and 'density_kg_per_m3'")
+        raise ConfigError(
+            f"section '{section}': 'charge_e' over the mass from {mass_keys} "
+            "takes the trap theory out of float range"
+        ) from None
+    return particle
 
 
 def _parse_controller(idx, data, sample_rate):
@@ -340,7 +351,7 @@ def parse_config(raw, seed_override=None):
     if not isinstance(particles_raw, list) or len(particles_raw) != 2:
         raise ConfigError("section 'particles' must list exactly two particles")
     particles = tuple(
-        _parse_particle(i, p, noise.t0) for i, p in enumerate(particles_raw)
+        _parse_particle(i, p, noise.t0, trap) for i, p in enumerate(particles_raw)
     )
 
     detection = None

@@ -309,13 +309,14 @@ def mode_structure(trap, p1, p2):
     ModeStructure.
     """
     try:
-        z1_eq, z2_eq, z_sep = equilibrium_positions(trap, p1, p2)
-        (lam_lo, lam_hi), (e_lo, e_hi) = _eig2(coupling_matrix(trap, p1, p2))
-        r_lo = float(e_lo[0] / e_lo[1])
-        r_hi = float(e_hi[0] / e_hi[1])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            z1_eq, z2_eq, z_sep = equilibrium_positions(trap, p1, p2)
+            (lam_lo, lam_hi), (e_lo, e_hi) = _eig2(coupling_matrix(trap, p1, p2))
+            r_lo = float(e_lo[0] / e_lo[1])
+            r_hi = float(e_hi[0] / e_hi[1])
         # energy_fractions squares the ratios
         values = [z1_eq, z2_eq, z_sep, lam_lo, lam_hi, r_lo**2, r_hi**2]
-    except (OverflowError, ZeroDivisionError):  # float ** and / at extreme inputs
+    except (OverflowError, ZeroDivisionError, FloatingPointError):  # at extreme inputs
         raise ConfigError(_FLOAT_RANGE) from None
     if lam_lo <= 0.0 or lam_hi <= 0.0:
         raise UnstableModeError(lam_lo, lam_hi)

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 from scipy import signal
 
+from cotrap import _kernel
 from cotrap.analysis import (
     AnalysisError,
+    _average,
+    _butter4_sos,
+    _segment_ffts,
+    _segmentation,
     demodulate,
     fit_r_pm,
+    get_window,
     mode_temperature,
     project_modes,
     squeezing_db,
@@ -283,3 +289,63 @@ class TestSqueezingDb:
         q = self._quads(1.0, 1.0, 5000, seed=21)
         with pytest.raises(AnalysisError):
             squeezing_db(q, 0.0)
+
+
+class TestScipyParity:
+    """The spectra, window and filter match scipy.signal bit for bit."""
+
+    @pytest.mark.parametrize("nperseg", [64, 65, 100, 127, 256, 1000, 1001, 4096, 8191,
+                                         16384, 32768])
+    def test_welch_and_csd(self, nperseg):
+        rng = np.random.default_rng(nperseg)
+        n = 3 * nperseg + 17
+        x = 3e-6 + 1e-7 * rng.standard_normal(n)
+        y = rng.standard_normal(n)
+        for overlap in (0.0, 0.3, 0.5, 0.75):
+            noverlap = int(nperseg * overlap)
+            kw = dict(fs=FS, window="hann", nperseg=nperseg, noverlap=noverlap,
+                      detrend="constant")
+            f_ref, p_ref = signal.welch(x, **kw)
+            _, c_ref = signal.csd(x, y, **kw)
+            psd = welch_psd(x, FS, nperseg, overlap)
+            seg, nov = _segmentation(n, nperseg, overlap)
+            fx = _segment_ffts(x, FS, "hann", seg, nov)
+            fy = _segment_ffts(y, FS, "hann", seg, nov)
+            # outside the assert: a rewritten assert holds the conj() temporary,
+            # which stops numpy from multiplying into it as csd's expression does
+            cross = _average(fy * fx.conj(), seg)
+            assert np.array_equal(psd.frequencies, f_ref), overlap
+            assert np.array_equal(psd.values, p_ref), overlap
+            assert np.array_equal(cross, c_ref), overlap
+
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_single_segment(self, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        _, p_ref = signal.welch(x, fs=FS, window="hann", nperseg=n, noverlap=n // 2)
+        psd = welch_psd(x, FS, n)
+        assert psd.n_averages == 1
+        assert np.array_equal(psd.values, p_ref)
+
+    def test_hann(self):
+        lengths = [*range(1, 600), *(2**k + d for k in range(10, 16) for d in (-1, 0, 1)), 32768]
+        for n in lengths:
+            assert np.array_equal(get_window("hann", n), signal.get_window("hann", n)), n
+
+    def test_other_windows_come_from_scipy(self):
+        assert np.array_equal(get_window("hamming", 100), signal.get_window("hamming", 100))
+        with pytest.raises(ValueError):
+            get_window("nosuch", 16)
+
+    def test_butter(self):
+        rng = np.random.default_rng(3)
+        wns = np.concatenate([np.geomspace(1e-5, 0.999, 3000), rng.uniform(1e-5, 0.999, 3000)])
+        for wn in wns:
+            assert np.array_equal(_butter4_sos(wn), signal.butter(4, wn, output="sos")), wn
+
+    def test_sosfilt(self):
+        x = np.random.default_rng(4).standard_normal(20000)
+        for wn in (1e-3, 0.05, 0.6):
+            sos = signal.butter(4, wn, output="sos")
+            ref = signal.sosfilt(sos, x)
+            assert np.array_equal(_kernel.sosfilt(sos, x), ref), wn
+            assert np.array_equal(_kernel.sosfilt_python(sos, x), ref), wn

@@ -3,12 +3,14 @@
 import concurrent.futures
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import signal
 
-from cotrap import cli
+from cotrap import analysis, cli
 from cotrap.cli import main
 from cotrap.config import parse_config, serialize_config
 from cotrap.dynamics import Trajectory
@@ -213,6 +215,16 @@ class TestCliModes:
             assert main(["modes", "--config", str(path)]) == 2, path
             assert f"{path}: cannot read configuration" in capsys.readouterr().err
 
+    def test_particle_out_of_float_range(self, tmp_path, capsys):
+        raw = json.loads((CONFIG_DIR / "characterised_pair.json").read_text())
+        raw["particles"][0]["radius_meters"] = 1e-100
+        path = write_config(tmp_path, raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            assert main(["modes", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "'particles[0]'" in err and "'radius_meters'" in err, err
+
     def test_instability_exit_code(self, tmp_path, capsys):
         raw = base_config()
         raw["particles"][0]["charge_e"] = -2135
@@ -312,6 +324,30 @@ class TestCliSimulate:
         assert (out / "quadratures_particle1.csv").exists()
         assert set(result.quadratures) == {"particle1", "particle2"}
         assert_numeric_csvs_exact(out, result)
+
+    def test_non_hann_window_matches_scipy(self, tmp_path, monkeypatch):
+        calls = []
+        welch = analysis.welch_psd
+
+        def record(trace, *args, **kw):
+            psd = welch(trace, *args, **kw)
+            calls.append((np.asarray(trace, dtype=float), psd))
+            return psd
+
+        monkeypatch.setattr(analysis, "welch_psd", record)
+        path = write_config(tmp_path, base_config(analysis={"window": "hamming"}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        for trace, psd in calls:
+            assert psd.window == "hamming"
+            f, p = signal.welch(trace, fs=psd.sample_rate, window="hamming",
+                                nperseg=psd.segment_length,
+                                noverlap=int(psd.segment_length * psd.overlap),
+                                detrend="constant")
+            assert np.array_equal(psd.frequencies, f) and np.array_equal(psd.values, p)
+        for name in ("particle1", "particle2", "mode_plus", "mode_minus"):
+            _, v = np.loadtxt(out / f"psd_{name}.csv", delimiter=",", skiprows=1, unpack=True)
+            assert any(np.array_equal(v, psd.values) for _, psd in calls), name
 
     def test_fault_exit_code(self, tmp_path, capsys):
         raw = base_config()

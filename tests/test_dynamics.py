@@ -302,6 +302,7 @@ class TestKernelBuild:
         monkeypatch.setattr(_kernel, "BACKEND", None)
         monkeypatch.setattr(_kernel, "BUILD_ERROR", None)
         monkeypatch.setattr(_kernel, "_c_kernel", None)
+        monkeypatch.setattr(_kernel, "_c_sosfilt", None)
         fallback = closed_loop(paper_trap, controllers)
         assert _kernel.BACKEND == "python"
         assert "no-such-cc" in _kernel.BUILD_ERROR
@@ -328,6 +329,46 @@ class TestKernelBuild:
             with pytest.raises(ValueError, match=name):
                 run_block(*bad)
             assert np.array_equal(pos, [1.0, 2.0]), name  # the loop never ran
+
+    def test_sosfilt_fallback_without_compiler(self, monkeypatch, tmp_path):
+        sos = np.array([[1e-4, 2e-4, 1e-4, 1.0, -1.9, 0.91],
+                        [1.0, 2.0, 1.0, 1.0, -1.95, 0.96]])
+        x = np.random.default_rng(2).standard_normal(5000)
+        compiled = _kernel.sosfilt(sos, x)
+        calls = []
+        python = _kernel.sosfilt_python
+        monkeypatch.setattr(_kernel, "sosfilt_python", lambda *a: calls.append(a) or python(*a))
+        monkeypatch.setattr(_kernel, "_CC", str(tmp_path / "no-such-cc"))
+        monkeypatch.setattr(_kernel, "_CACHE_DIR", tmp_path)
+        monkeypatch.setattr(_kernel, "BACKEND", None)
+        monkeypatch.setattr(_kernel, "BUILD_ERROR", None)
+        monkeypatch.setattr(_kernel, "_c_kernel", None)
+        monkeypatch.setattr(_kernel, "_c_sosfilt", None)
+        fallback = _kernel.sosfilt(sos, x)
+        assert _kernel.BACKEND == "python"
+        assert calls
+        assert np.array_equal(compiled, fallback)
+        assert np.array_equal(x, np.random.default_rng(2).standard_normal(5000))  # input kept
+
+    @pytest.mark.parametrize("backend", ["c", "python"])
+    def test_sosfilt_bad_arrays_raise(self, monkeypatch, backend):
+        sos = np.array([[1.0, 2.0, 1.0, 1.0, -1.9, 0.91]])
+        x = np.zeros(64)
+        _kernel.sosfilt(sos, x)  # loads the kernel
+        if backend == "python":
+            monkeypatch.setattr(_kernel, "_c_sosfilt", None)
+        cases = [
+            (sos, x.astype(np.float32), "x"),
+            (sos, x[::2], "x"),
+            (sos, x.reshape(8, 8), "x"),
+            (sos[:, :5].copy(), x, "sos"),
+            (np.asfortranarray(np.vstack([sos, sos])), x, "sos"),
+            (sos.astype(np.float32), x, "sos"),
+            (sos * 2.0, x, "sos"),  # a0 != 1
+        ]
+        for bad_sos, bad_x, name in cases:
+            with pytest.raises(ValueError, match=f"sosfilt: {name}"):
+                _kernel.sosfilt(bad_sos, bad_x)
 
     def test_cold_cache_race(self, tmp_path):
         if shutil.which(_kernel._CC) is None:
