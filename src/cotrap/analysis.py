@@ -16,6 +16,7 @@ import numpy as np
 from . import _kernel
 from .constants import K_B
 from .errors import AnalysisError
+from .trap import _eig2
 
 __all__ = [
     "Psd",
@@ -41,7 +42,6 @@ class Psd:
     frequencies: np.ndarray
     values: np.ndarray
     sample_rate: float
-    window: str
     segment_length: int
     overlap: float
     n_averages: int
@@ -58,9 +58,10 @@ class Psd:
     def band_power_sigma(self, f_lo, f_hi):
         """Statistical std of band_power from the segment-averaging count.
 
-        Window leakage and 50% segment overlap correlate neighbouring bins,
-        inflating the variance over the independent-bin value; the factor
-        1.5 matches the observed scatter for Hann-windowed estimates.
+        Hann-window leakage and 50% segment overlap correlate neighbouring
+        bins, inflating the variance over the independent-bin value; the
+        factor 1.5 matches the observed scatter of the Hann-windowed
+        estimates, the only window the package uses.
         """
         sel = (self.frequencies >= f_lo) & (self.frequencies <= f_hi)
         return float(
@@ -88,18 +89,10 @@ class Psd:
         return float(f[k] + shift * self.df)
 
 
-def get_window(name, n):
-    """The n-point periodic window called name, as scipy.signal.get_window
-    returns it.
-
-    "hann" is computed here in scipy's own arithmetic: a cosine sum on n + 1
-    points with the last one dropped.  Any other name is looked up in
-    scipy.signal, which is imported only then.
+def _hann(n):
+    """The n-point periodic Hann window, as scipy.signal.get_window("hann", n)
+    computes it: a cosine sum on n + 1 points with the last one dropped.
     """
-    if name != "hann":
-        from scipy.signal import get_window as scipy_get_window
-
-        return scipy_get_window(name, n)
     if n == 1:
         return np.ones(1)
     fac = np.linspace(-np.pi, np.pi, n + 1)
@@ -123,8 +116,8 @@ def _segmentation(n, segment_length, overlap):
     return segment_length, int(segment_length * overlap)
 
 
-def _segment_ffts(x, sample_rate, window, nperseg, noverlap):
-    """One-sided FFTs of the windowed, mean-removed segments of x, one row
+def _segment_ffts(x, sample_rate, nperseg, noverlap):
+    """One-sided FFTs of the Hann-windowed, mean-removed segments of x, one row
     per segment, scaled so that |X|^2 is a density.
 
     The arithmetic is scipy.signal.welch's and csd's (ShortTimeFFT with
@@ -134,7 +127,7 @@ def _segment_ffts(x, sample_rate, window, nperseg, noverlap):
     step = nperseg - noverlap
     segs = np.lib.stride_tricks.sliding_window_view(x, nperseg)[::step]
     segs = segs[:(len(x) - noverlap) // step]
-    win = get_window(window, nperseg)
+    win = _hann(nperseg)
     win = win * (1 / np.sqrt(sum(win**2) / (1 / sample_rate)))
     return np.fft.rfft((segs - segs.mean(axis=-1, keepdims=True)) * win, axis=-1)
 
@@ -147,20 +140,19 @@ def _average(p, nperseg):
     return p.mean(axis=-1) if p.shape[-1] > 1 else p.reshape(-1)
 
 
-def welch_psd(trace, sample_rate, segment_length=None, overlap=0.5, window="hann"):
+def welch_psd(trace, sample_rate, segment_length=None, overlap=0.5):
     """Averaged modified-periodogram PSD of a real trace.
 
-    The mean is removed per segment; windows are power-corrected so that
-    the integral of the PSD matches the trace variance.
+    The mean is removed per segment; the Hann window is power-corrected so
+    that the integral of the PSD matches the trace variance.
     """
     x = np.asarray(trace, dtype=float)
     segment_length, noverlap = _segmentation(len(x), segment_length, overlap)
-    spec = _segment_ffts(x, sample_rate, window, segment_length, noverlap)
+    spec = _segment_ffts(x, sample_rate, segment_length, noverlap)
     return Psd(
         frequencies=np.fft.rfftfreq(segment_length, 1 / sample_rate),
         values=_average(spec.real**2 + spec.imag**2, segment_length),
         sample_rate=sample_rate,
-        window=window,
         segment_length=segment_length,
         overlap=overlap,
         n_averages=len(spec),
@@ -277,7 +269,7 @@ def _band_matrix(p11, p22, p12, freqs, band):
     sel = (freqs >= band[0]) & (freqs <= band[1])
     a11 = float(np.sum(p11[sel]))
     a22 = float(np.sum(p22[sel]))
-    a12 = float(np.sum(np.real(p12[sel])))
+    a12 = float(np.sum(p12[sel]))
     return np.array([[a11, a12], [a12, a22]])
 
 
@@ -285,23 +277,21 @@ def _mixing_ratio(num, den):
     """Mixing ratio r = tan(theta) of the combination v = (cos theta, -sin theta)
     that minimizes the band-power ratio (v num v) / (v den v).
 
-    The minimum of that Rayleigh quotient is the smallest generalized
-    eigenvalue of (num, den); r follows from its eigenvector.
+    The minimum of that Rayleigh quotient is the smallest eigenvalue of
+    den^-1 num; r follows from its eigenvector.
     """
-    from scipy import linalg
-
     try:
-        _, vecs = linalg.eigh(num, den)
-    except linalg.LinAlgError as exc:
+        _, (vec, _) = _eig2(np.linalg.solve(den, num))
+    except np.linalg.LinAlgError as exc:
         raise AnalysisError(f"leakage minimization failed: {exc}") from None
-    v0, v1 = vecs[:, 0]
+    v0, v1 = vec
     # |theta| >= pi/2 - 1e-3: s1 carries almost no weight and r diverges
     if abs(v0) <= math.sin(1e-3) * math.hypot(v0, v1):
         raise AnalysisError("leakage minimum at the scan edge; modes not separable")
     return float(-v1 / v0)
 
 
-def fit_r_pm(s1, s2, sample_rate, segment_length=None, overlap=0.5, window="hann"):
+def fit_r_pm(s1, s2, sample_rate, segment_length=None, overlap=0.5):
     """Fit the mode mixing ratios by minimizing cross-mode PSD leakage.
 
     Locates the two mode peaks in the spectra, then finds the particle
@@ -315,20 +305,17 @@ def fit_r_pm(s1, s2, sample_rate, segment_length=None, overlap=0.5, window="hann
     if s1.shape != s2.shape:
         raise AnalysisError("s1 and s2 must have equal length")
     segment_length, noverlap = _segmentation(len(s1), segment_length, overlap)
-    x1 = _segment_ffts(s1, sample_rate, window, segment_length, noverlap)
-    x2 = _segment_ffts(s2, sample_rate, window, segment_length, noverlap)
+    x1 = _segment_ffts(s1, sample_rate, segment_length, noverlap)
+    x2 = _segment_ffts(s2, sample_rate, segment_length, noverlap)
     freqs = np.fft.rfftfreq(segment_length, 1 / sample_rate)
     p11 = _average(x1.real**2 + x1.imag**2, segment_length)
     p22 = _average(x2.real**2 + x2.imag**2, segment_length)
-    # csd's own expression: for a large enough array numpy multiplies into the
-    # conj() temporary, which orders the fused multiply-add differently
-    p12 = _average(x2 * x1.conj(), segment_length)
-    n_averages = len(x1)
+    p12 = _average(x1.real * x2.real + x1.imag * x2.imag, segment_length)
 
     combined = p11 + p22
+    spectrum = Psd(freqs, combined, sample_rate, segment_length, overlap, len(x1))
     k1 = int(np.argmax(combined[1:])) + 1
-    lo1, hi1 = auto_band(Psd(freqs, combined, sample_rate, window, segment_length,
-                             overlap, n_averages), freqs[k1])
+    lo1, hi1 = auto_band(spectrum, freqs[k1])
     mask = (freqs < lo1) | (freqs > hi1)
     mask[0] = False
     if not np.any(mask):
@@ -337,10 +324,8 @@ def fit_r_pm(s1, s2, sample_rate, segment_length=None, overlap=0.5, window="hann
     k2 = int(np.argmax(rest))
     if combined[k2] < 10.0 * np.median(combined[1:]):
         raise AnalysisError("second mode peak not resolved above the background")
-    lo2, hi2 = auto_band(Psd(freqs, combined, sample_rate, window, segment_length,
-                             overlap, n_averages), freqs[k2])
-    bands = sorted([(lo1, hi1), (lo2, hi2)])
-    band_lo, band_hi = bands
+    lo2, hi2 = auto_band(spectrum, freqs[k2])
+    band_lo, band_hi = sorted([(lo1, hi1), (lo2, hi2)])
     if band_lo[1] >= band_hi[0]:
         raise AnalysisError("mode bands overlap: peaks not spectrally resolved")
 
@@ -351,8 +336,8 @@ def fit_r_pm(s1, s2, sample_rate, segment_length=None, overlap=0.5, window="hann
     r_plus = _mixing_ratio(a_lo, a_hi)
 
     traces = project_modes(s1, s2, r_plus, r_minus)
-    psd_p = welch_psd(traces.z_plus, sample_rate, segment_length, overlap, window)
-    psd_m = welch_psd(traces.z_minus, sample_rate, segment_length, overlap, window)
+    psd_p = welch_psd(traces.z_plus, sample_rate, segment_length, overlap)
+    psd_m = welch_psd(traces.z_minus, sample_rate, segment_length, overlap)
     leak_p = psd_p.band_power(*band_hi) / psd_p.band_power(*band_lo)
     leak_m = psd_m.band_power(*band_lo) / psd_m.band_power(*band_hi)
     leakage_db = 10.0 * math.log10(max(leak_p, leak_m))

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import get_window
 from .dynamics import NoiseModel
-from .errors import ConfigError, UnstableAxisError
+from .errors import ConfigError, UnstableAxisError, UnstableModeError
 from .feedback import KINDS, DetectionModel
-from .trap import ParticleSpec, TrapConfig, epstein_gamma, stability_params
+from .trap import (_FLOAT_RANGE, ParticleSpec, TrapConfig, epstein_gamma, mode_structure,
+                   stability_params)
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config", "serialize_config"]
 
@@ -52,19 +52,6 @@ def _string(section, key, val):
     if not isinstance(val, str):
         raise ConfigError(f"key '{key}' in section '{section}' must be a string")
     return val
-
-
-def _window(section, key, val):
-    if isinstance(val, str):
-        try:
-            get_window(val, 16)
-            return val
-        except ValueError:
-            pass
-    raise ConfigError(
-        f"key '{key}' in section '{section}' must name a scipy.signal window "
-        f"that takes no parameters, got {val!r}"
-    )
 
 
 def _choice(*options):
@@ -164,7 +151,6 @@ _SCHEMA = {
         "burn_in_seconds": ("burn_in", _number, None, ">= 0"),
         "segment_seconds": ("segment_seconds", _number, None, "> 0"),
         "overlap": ("overlap", _number, 0.5, "in [0, 1)"),
-        "window": ("window", _window, "hann", None),
         "fit_mixing_ratios": ("fit_mixing_ratios", _boolean, True, None),
         "demod_bandwidth_rad_per_s": ("demod_bandwidth", _number, None, "> 0"),
     },
@@ -239,7 +225,6 @@ class AnalysisSettings:
     burn_in: float | None
     segment_seconds: float | None
     overlap: float
-    window: str
     fit_mixing_ratios: bool
     demod_bandwidth: float | None
 
@@ -262,6 +247,11 @@ class ExperimentConfig:
     analysis: AnalysisSettings
     sweep: SweepSettings | None
     resolved: dict = field(default_factory=dict)
+
+
+def _mass_keys(data):
+    """The keys a particle's mass comes from, quoted for an error message."""
+    return "'mass_kg'" if "mass_kg" in data else "'radius_meters' and 'density_kg_per_m3'"
 
 
 def _parse_particle(idx, data, t0, trap):
@@ -295,10 +285,8 @@ def _parse_particle(idx, data, t0, trap):
     except UnstableAxisError:
         pass  # a physical outcome, reported where the theory is used
     except ConfigError:
-        mass_keys = ("'mass_kg'" if p["mass"] is not None
-                     else "'radius_meters' and 'density_kg_per_m3'")
         raise ConfigError(
-            f"section '{section}': 'charge_e' over the mass from {mass_keys} "
+            f"section '{section}': 'charge_e' over the mass from {_mass_keys(data)} "
             "takes the trap theory out of float range"
         ) from None
     return particle
@@ -353,6 +341,18 @@ def parse_config(raw, seed_override=None):
     particles = tuple(
         _parse_particle(i, p, noise.t0, trap) for i, p in enumerate(particles_raw)
     )
+    try:
+        mode_structure(trap, *particles)
+    except (UnstableAxisError, UnstableModeError):
+        pass  # physical outcomes, reported where the theory is used
+    except ConfigError as exc:
+        if exc.args != (_FLOAT_RANGE,):
+            raise
+        raise ConfigError(
+            f"sections 'particles[0]' (mass from {_mass_keys(particles_raw[0])}) and "
+            f"'particles[1]' (mass from {_mass_keys(particles_raw[1])}): their "
+            "'charge_e' over mass takes the pair theory out of float range"
+        ) from None
 
     detection = None
     if raw.get("detection") is not None:

@@ -128,7 +128,7 @@ def analyze_trajectory(traj, modes, p1, p2, settings, controllers=(),
     mt = ana.project_modes(s1, s2, modes.r_plus, modes.r_minus)
 
     nperseg = _nperseg(len(s1), fs, settings)
-    kw = dict(segment_length=nperseg, overlap=settings.overlap, window=settings.window)
+    kw = dict(segment_length=nperseg, overlap=settings.overlap)
     psds = {
         "particle1": ana.welch_psd(s1, fs, **kw),
         "particle2": ana.welch_psd(s2, fs, **kw),
@@ -208,15 +208,14 @@ def analyze_trajectory(traj, modes, p1, p2, settings, controllers=(),
 
     if settings.fit_mixing_ratios:
         try:
-            fit = ana.fit_r_pm(s1, s2, fs, segment_length=nperseg,
-                               overlap=settings.overlap, window=settings.window)
+            fit = ana.fit_r_pm(s1, s2, fs, segment_length=nperseg, overlap=settings.overlap)
             # split-half scatter as the statistical uncertainty of the fit
             half = len(s1) // 2
             seg_half = min(nperseg, 2 ** int(math.log2(max(half // 4, 64))))
             fit_a = ana.fit_r_pm(s1[:half], s2[:half], fs, segment_length=seg_half,
-                                 overlap=settings.overlap, window=settings.window)
+                                 overlap=settings.overlap)
             fit_b = ana.fit_r_pm(s1[half:], s2[half:], fs, segment_length=seg_half,
-                                 overlap=settings.overlap, window=settings.window)
+                                 overlap=settings.overlap)
             report["fitted"] = {
                 "r_plus": entry(fit.r_plus, abs(fit_a.r_plus - fit_b.r_plus) / 2),
                 "r_minus": entry(fit.r_minus, abs(fit_a.r_minus - fit_b.r_minus) / 2),

@@ -1,5 +1,6 @@
-"""What a fresh interpreter loads: no scipy for `import cotrap` and a config,
-and no scipy.signal for a run, whose spectra and filters are computed here."""
+"""What a fresh interpreter loads: numpy is the only runtime dependency, so
+neither `import cotrap` with a config nor a run loads any scipy module, and a
+run with scipy made unimportable still fits the mixing ratios."""
 
 import json
 import os
@@ -27,30 +28,60 @@ with open(out, "w") as fh:
 sys.exit(code)
 """
 
+# a None entry makes every `import scipy...` raise ImportError
+_BLOCK_SCIPY = 'import sys\nsys.modules["scipy"] = None\n'
 
-def loaded_modules(tmp_path, *args):
+
+def loaded_modules(tmp_path, *args, block_scipy=False):
     out = tmp_path / "modules.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", _SCRIPT, str(out), *args], cwd=ROOT,
+    script = _BLOCK_SCIPY + _SCRIPT if block_scipy else _SCRIPT
+    proc = subprocess.run([sys.executable, "-c", script, str(out), *args], cwd=ROOT,
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return json.loads(out.read_text())
 
 
-def test_import_and_config_load_no_scipy(tmp_path):
-    assert [m for m in loaded_modules(tmp_path) if m.split(".")[0] == "scipy"] == []
+def scipy_modules(modules):
+    return [m for m in modules if m.split(".")[0] == "scipy"]
 
 
-def test_simulate_and_analyze_load_no_scipy_signal(tmp_path):
-    raw = json.loads((ROOT / "configs" / "squeezing.json").read_text())
-    raw["run"]["duration_seconds"] = 2.0
-    cfg = tmp_path / "squeezing_short.json"
+def short_config(tmp_path, name, seconds):
+    raw = json.loads((ROOT / "configs" / name).read_text())
+    raw["run"]["duration_seconds"] = seconds
+    cfg = tmp_path / name
     cfg.write_text(json.dumps(raw))
+    return cfg
+
+
+def test_import_and_config_load_no_scipy(tmp_path):
+    assert scipy_modules(loaded_modules(tmp_path)) == []
+
+
+def test_simulate_and_analyze_load_no_scipy(tmp_path):
+    # 2 s of squeezing runs the demodulation but skips the mixing fit;
+    # 3 s of the characterised pair resolves both modes, so the fit runs
+    for name, seconds, made in (("squeezing.json", 2.0, "quadratures_particle1.csv"),
+                                ("characterised_pair.json", 3.0, "report.json")):
+        cfg = short_config(tmp_path, name, seconds)
+        run = tmp_path / Path(name).stem / "run"
+        modules = loaded_modules(tmp_path, "simulate", "--config", str(cfg), "--out", str(run))
+        assert (run / made).exists(), name
+        assert scipy_modules(modules) == [], name
+        analyzed = tmp_path / Path(name).stem / "analyzed"
+        modules = loaded_modules(tmp_path, "analyze", str(run / "trajectory.csv"),
+                                 "--out", str(analyzed))
+        assert (analyzed / "psd_particle1.csv").exists(), name
+        assert scipy_modules(modules) == [], name
+
+
+def test_mixing_fit_runs_with_scipy_blocked(tmp_path):
+    cfg = short_config(tmp_path, "characterised_pair.json", 3.0)
     run = tmp_path / "run"
-    modules = loaded_modules(tmp_path, "simulate", "--config", str(cfg), "--out", str(run))
-    assert (run / "quadratures_particle1.csv").exists()  # the demodulation ran
-    assert "scipy.signal" not in modules
-    modules = loaded_modules(tmp_path, "analyze", str(run / "trajectory.csv"),
-                             "--out", str(tmp_path / "analyzed"))
-    assert (tmp_path / "analyzed" / "psd_particle1.csv").exists()
-    assert "scipy.signal" not in modules
+    loaded_modules(tmp_path, "simulate", "--config", str(cfg), "--out", str(run),
+                   block_scipy=True)
+    loaded_modules(tmp_path, "analyze", str(run / "trajectory.csv"),
+                   "--out", str(tmp_path / "analyzed"), block_scipy=True)
+    for out in (run, tmp_path / "analyzed"):
+        fitted = json.loads((out / "report.json").read_text())["fitted"]
+        assert "skipped" not in fitted and "r_plus" in fitted, fitted
