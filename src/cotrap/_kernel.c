@@ -1,12 +1,13 @@
 /* Inner integration and controller loops, a C port of run_block_python,
- * controller_step and sosfilt_python in _kernel.py.
+ * controller_step and sosfilt_python in _kernel.py, and the %.17g text
+ * formatter behind write_rows.
  *
  * Every floating-point operation is the one the Python reference does, in
  * the same order, so that with -ffp-contract=off (no fused multiply-add)
  * and no fast-math the results are bit-identical.  _kernel.py compiles
- * this file on the first run_block or sosfilt call and checks the dtype,
- * contiguity and shape of every array before calling in; nothing here
- * re-checks.
+ * this file on the first run_block, sosfilt or write_rows call and checks
+ * the dtype, contiguity and shape of every array before calling in;
+ * nothing here re-checks.
  *
  * Arrays are C-contiguous: thermal is (n_samples, n_sub, 2), sos is
  * (n_sections, 5) in run_block and (n_sections, 6) in sosfilt, sos_state
@@ -14,8 +15,13 @@
  * (n_ctrl, n_stored).  Integer arrays are int64.
  */
 
+#define _POSIX_C_SOURCE 200809L /* newlocale, uselocale */
+
+#include <locale.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
+#include <string.h>
 
 #define FAULT_NONE 0
 #define FAULT_CROSSING 1
@@ -167,4 +173,47 @@ void cotrap_sosfilt(const double *sos, int64_t n_sections, double *state,
             u = biquad(sos + 6 * s, sos + 6 * s + 4, state + 2 * s, u);
         x[i] = u;
     }
+}
+
+/* Formats rows [r0, r1) of the n_cols float64 columns cols[c] as text, the
+ * bytes np.savetxt(fmt="%.17g", delimiter=",") writes: each value as
+ * %.17g, a comma between values and a newline after each row.  Every NaN
+ * prints as "nan", as numpy prints it, where glibc would print "-nan" for
+ * one with the sign bit set.  Numbers are formatted in the "C" locale
+ * whatever the process locale is.  Writes into buf of size bytes and
+ * returns the byte count, or -1 if buf is too small (its contents are
+ * then undefined); 25 bytes per value always suffice. */
+int64_t cotrap_format_rows(const double *const *cols, int64_t n_cols,
+                           int64_t r0, int64_t r1, char *buf, int64_t size)
+{
+    locale_t c_locale = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
+    if (c_locale == (locale_t)0)
+        return -1;
+    locale_t caller = uselocale(c_locale);
+    char *p = buf;
+    int64_t len = -1;
+    for (int64_t r = r0; r < r1; r++) {
+        for (int64_t c = 0; c < n_cols; c++) {
+            double v = cols[c][r];
+            int64_t room = size - (p - buf);
+            int n;
+            if (isnan(v)) {
+                n = 3;
+                if (room <= n)
+                    goto done;
+                memcpy(p, "nan", 3);
+            } else {
+                n = snprintf(p, (size_t)room, "%.17g", v);
+                if (n < 0 || n >= room) /* the separator takes the NUL's byte */
+                    goto done;
+            }
+            p += n;
+            *p++ = c + 1 < n_cols ? ',' : '\n';
+        }
+    }
+    len = p - buf;
+done:
+    uselocale(caller);
+    freelocale(c_locale);
+    return len;
 }

@@ -1,11 +1,13 @@
-"""Inner integration, controller and filter loops.
+"""Inner integration, controller and filter loops, and the CSV number writer.
 
 run_block integrates one block of samples on pre-generated noise arrays;
-sosfilt runs a signal through second-order sections.  Both run the C port
-in _kernel.c, compiled with the system compiler on the first call and
-cached in this package's __pycache__/, or, when that build fails,
-run_block_python and sosfilt_python, the plain-Python references the C port
-matches bit for bit.  BACKEND and BUILD_ERROR record which one runs and why.
+sosfilt runs a signal through second-order sections; write_rows writes
+float columns as %.17g text.  Each runs the C port in _kernel.c, compiled
+with the system compiler on the first call and cached in this package's
+__pycache__/, or, when that build fails, run_block_python, sosfilt_python
+and write_rows_python, the references the C port matches bit for bit (byte
+for byte for the text).  BACKEND and BUILD_ERROR record which one runs and
+why.
 
 Controller state layout (one row / slot per controller):
   sos[s, :]      biquad coefficients b0, b1, b2, a1, a2 (a0 normalized out)
@@ -46,10 +48,17 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
 
-BACKEND = None  # "c" or "python", set by the first run_block or sosfilt call
+BACKEND = None  # "c" or "python", set by the first run_block, sosfilt or write_rows call
 BUILD_ERROR = None  # why the C kernel did not load, when BACKEND is "python"
 _c_kernel = None
 _c_sosfilt = None
+_c_format_rows = None
+
+# write_rows formats this many rows per C call into one reused buffer of
+# _VALUE_BYTES per value: the longest %.17g, -1.2345678901234567e-308, is
+# 24 bytes, plus its comma or newline
+_WRITE_CHUNK_ROWS = 4096
+_VALUE_BYTES = 25
 
 
 def controller_step(y, t, c, kind, sos, sos_off, sos_state, dly_buf, dly_len,
@@ -246,6 +255,13 @@ def _build(path):
     except BaseException:
         os.unlink(tmp)
         raise
+    # builds of earlier sources; a process that loaded one keeps its mapping
+    for stale in path.parent.glob(f"_kernel.{sysconfig.get_platform()}.*.so"):
+        if stale != path:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
 
 
 # cotrap_run_block's parameters in order: P pointer, D double, I int64
@@ -256,22 +272,27 @@ _C_ARGTYPES = [{"P": ctypes.c_void_p, "D": ctypes.c_double, "I": ctypes.c_int64}
 
 def _load():
     """Build or reuse the compiled kernel and set BACKEND and BUILD_ERROR."""
-    global BACKEND, BUILD_ERROR, _c_kernel, _c_sosfilt
+    global BACKEND, BUILD_ERROR, _c_kernel, _c_sosfilt, _c_format_rows
     try:
         path = _library_path()
         if not path.exists():
             _build(path)
         lib = ctypes.CDLL(str(path))
-        fn, filt = lib.cotrap_run_block, lib.cotrap_sosfilt
+        fn, filt, fmt = lib.cotrap_run_block, lib.cotrap_sosfilt, lib.cotrap_format_rows
     except OSError as exc:  # no compiler, a failed compile, an unwritable cache, a bad file
-        BACKEND, BUILD_ERROR, _c_kernel, _c_sosfilt = "python", str(exc), None, None
+        BACKEND, BUILD_ERROR = "python", str(exc)
+        _c_kernel = _c_sosfilt = _c_format_rows = None
         return
     fn.argtypes = _C_ARGTYPES
     fn.restype = ctypes.c_int64
     filt.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
                      ctypes.c_int64]
     filt.restype = None
-    BACKEND, BUILD_ERROR, _c_kernel, _c_sosfilt = "c", None, fn, filt
+    fmt.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+                    ctypes.c_void_p, ctypes.c_int64]
+    fmt.restype = ctypes.c_int64
+    BACKEND, BUILD_ERROR = "c", None
+    _c_kernel, _c_sosfilt, _c_format_rows = fn, filt, fmt
 
 
 def _buffer(name, a, dtype, shape, writes=False, caller="run_block"):
@@ -378,3 +399,38 @@ def sosfilt(sos, x):
     state = np.zeros((sos.shape[0], 2))
     _c_sosfilt(p_sos, sos.shape[0], state.ctypes.data, out.ctypes.data, out.shape[0])
     return out
+
+
+def write_rows_python(fh, columns):
+    """Write the rows of equal-length float64 columns to the text file fh,
+    each value as %.17g, commas between values, a newline after each row."""
+    np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",")
+
+
+def write_rows(fh, columns):
+    """write_rows_python(fh, columns), formatted in C unless the C build failed.
+
+    The C formatter writes the same bytes as np.savetxt, NaN of either sign
+    as "nan" included.  It streams _WRITE_CHUNK_ROWS rows at a time through
+    one reused buffer, so the text of the whole file is never in memory.
+    columns must be one or more 1-D arrays of one length, converted to
+    float64; anything else raises ValueError, whichever backend runs.
+    """
+    if BACKEND is None:
+        _load()
+    columns = [np.ascontiguousarray(c, dtype=np.float64) for c in columns]
+    shapes = {c.shape for c in columns}
+    if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+        raise ValueError(f"write_rows: columns must be 1-D arrays of one length, "
+                         f"got shapes {[c.shape for c in columns]}")
+    if _c_format_rows is None:
+        return write_rows_python(fh, columns)
+    n_rows, n_cols = columns[0].shape[0], len(columns)
+    pointers = (ctypes.c_void_p * n_cols)(*(c.ctypes.data for c in columns))
+    size = _WRITE_CHUNK_ROWS * n_cols * _VALUE_BYTES
+    buf = ctypes.create_string_buffer(size)
+    for r0 in range(0, n_rows, _WRITE_CHUNK_ROWS):
+        n = _c_format_rows(pointers, n_cols, r0, min(r0 + _WRITE_CHUNK_ROWS, n_rows), buf, size)
+        if n < 0:  # a full buffer, which _VALUE_BYTES rules out, or no "C" locale
+            raise RuntimeError(f"write_rows: formatting rows from {r0} failed")
+        fh.write(ctypes.string_at(buf, n).decode("ascii"))

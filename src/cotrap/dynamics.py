@@ -120,7 +120,7 @@ def write_columns(fh, names, columns):
     %.17g round-trips every float64 exactly through np.loadtxt.
     """
     fh.write(",".join(names) + "\n")
-    np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",")
+    _kernel.write_rows(fh, columns)
 
 
 @dataclass
@@ -299,8 +299,16 @@ def simulate(trap, p1, p2, noise, controllers=(), *, duration, dt, sample_rate,
     u1 = axial_stiffness(trap, p1)
     u2 = axial_stiffness(trap, p2)
     kq = p1.charge * p2.charge / (4.0 * np.pi * EPSILON_0) if coulomb_coupling else 0.0
-    a1, b1 = ou_coefficients(p1, noise.t0, dt, noise.force_noise_psd[0])
-    a2, b2 = ou_coefficients(p2, noise.t0, dt, noise.force_noise_psd[1])
+    ou = []
+    for i, (p, psd) in enumerate(zip((p1, p2), noise.force_noise_psd)):
+        try:
+            ou += ou_coefficients(p, noise.t0, dt, psd)
+        except OverflowError:  # mass**2 beyond the float range
+            raise ConfigError(
+                f"section 'particles[{i}]': mass {p.mass:.4g} kg takes the thermal kick out "
+                "of float range; check 'mass_kg', or 'radius_meters' and 'density_kg_per_m3'"
+            ) from None
+    a1, b1, a2, b2 = ou
 
     thermal_ss, init_ss = np.random.SeedSequence(noise.seed).spawn(2)
     thermal_gen = np.random.Generator(np.random.PCG64(thermal_ss))
@@ -333,6 +341,14 @@ def simulate(trap, p1, p2, noise, controllers=(), *, duration, dt, sample_rate,
         out_force = np.empty((len(controllers), n_stored))
     except (ValueError, MemoryError):  # numpy's dimension limit, or no memory
         raise ConfigError(too_long) from None
+    block = min(_BLOCK_SAMPLES, n_samples)
+    try:  # one thermal noise block, refilled for every kernel call
+        thermal_block = np.empty((block, n_sub, 2))
+    except (ValueError, MemoryError):
+        raise ConfigError(
+            f"dt = {dt:.4g} s is {n_sub} substeps per sample ('substeps_per_sample'), and "
+            f"a block of {block} samples needs {16.0 * block * n_sub:.4g} bytes of noise"
+        ) from None
     hold_force = np.zeros(len(controllers))
 
     fault = _kernel.FAULT_NONE
@@ -340,7 +356,7 @@ def simulate(trap, p1, p2, noise, controllers=(), *, duration, dt, sample_rate,
     start = 0
     while start < n_samples:
         nb = min(_BLOCK_SAMPLES, n_samples - start)
-        thermal = thermal_gen.standard_normal((nb, n_sub, 2))
+        thermal = thermal_gen.standard_normal(out=thermal_block[:nb])
         if det_gen is not None:
             det_noise = det_gen.standard_normal(nb)
         else:

@@ -183,6 +183,11 @@ def chain_response(sections, omega, fs):
     return h
 
 
+# the configuration keys that set the normal-mode frequencies, for error messages
+_MODE_KEYS = ("the 'trap' keys 'u0_volts', 'kappa' and 'z0_meters' and each particle's "
+              "'charge_e' and mass ('mass_kg', or 'radius_meters' and 'density_kg_per_m3')")
+
+
 def _wrap_phase(phi):
     return (phi + math.pi) % (2.0 * math.pi) - math.pi
 
@@ -200,7 +205,8 @@ def _resolve(cfg):
     ts = 1.0 / fs
     h_c = complex(chain_response(sections, cfg.center, fs))
     zoh_gain = float(np.sinc(cfg.center * ts / (2.0 * math.pi)))
-    proj_sq = cfg.mode_projection**2
+    # the loop gain at the carrier, which the output gain divides out
+    loop_gain = cfg.mode_projection**2 * abs(h_c) * zoh_gain
     info = {
         "kind": cfg.kind,
         "chain_gain": abs(h_c),
@@ -222,9 +228,8 @@ def _resolve(cfg):
                 f"residual loop phase {resid:.3f} rad too large for velocity damping;"
                 " increase the sample rate or set delay_samples explicitly"
             )
-        gain = cfg.mass * cfg.gain * cfg.center / (
-            proj_sq * abs(h_c) * zoh_gain * math.cos(resid)
-        )
+        loop_gain *= math.cos(resid)
+        force = cfg.mass * cfg.gain * cfg.center
         lo_omega = 0.0
         lo_phase = 0.0
         info.update(delay_samples=delay, residual_phase=resid)
@@ -232,8 +237,15 @@ def _resolve(cfg):
         delay = 0
         lo_omega = cfg.drive_omega
         lo_phase = cfg.drive_phase
-        gain = -cfg.mass * cfg.gain / (proj_sq * abs(h_c) * zoh_gain)
+        force = -cfg.mass * cfg.gain
         info.update(delay_samples=0, lo_omega=lo_omega, lo_phase=lo_phase)
+    gain = force / loop_gain if loop_gain != 0.0 else math.inf
+    if not math.isfinite(gain):
+        raise ConfigError(
+            f"the filter chain passes {abs(h_c):.3g} of the {cfg.target_mode} mode at "
+            f"{cfg.center:.4g} rad/s, too little to calibrate the gain; the mode "
+            f"frequencies come from {_MODE_KEYS}"
+        )
     return sections, delay, gain, lo_omega, lo_phase, info
 
 
@@ -260,6 +272,12 @@ class KernelControllerSet(NamedTuple):
         self.sat_count[:] = 0
 
 
+def _delay_error(i, cfg, delay):
+    return (f"section 'controllers[{i}]': the {cfg.target_mode} mode at {cfg.center:.4g} rad/s "
+            f"needs a delay line of {delay} samples, more than memory holds; set "
+            f"'delay_samples', or raise the mode frequency, which comes from {_MODE_KEYS}")
+
+
 def build_kernel_set(configs, sample_rate, mass):
     """Kernel arrays for a list of controller configurations, plus one
     resolved-design info dict per controller."""
@@ -282,7 +300,12 @@ def build_kernel_set(configs, sample_rate, mass):
             raise ConfigError(
                 f"controller {i} designed for mass {cfg.mass}, particle 1 has {mass}"
             )
-        sections, delay, gain, w, p, info = _resolve(cfg)
+        try:
+            sections, delay, gain, w, p, info = _resolve(cfg)
+        except ConfigError as exc:
+            raise ConfigError(f"section 'controllers[{i}]': {exc}") from None
+        if delay >= np.iinfo(np.int64).max:
+            raise ConfigError(_delay_error(i, cfg, delay))
         all_sections.append(sections)
         offsets.append(offsets[-1] + len(sections))
         kinds[i] = _kernel.KIND_DAMPER if cfg.kind == "velocity_damper" else _kernel.KIND_SQUEEZER
@@ -294,12 +317,17 @@ def build_kernel_set(configs, sample_rate, mass):
         infos.append(info)
     sos = np.vstack(all_sections) if all_sections else np.zeros((0, 5))
     max_len = int(delays.max()) + 1 if n else 1
+    try:
+        dly_buf = np.zeros((n, max_len))
+    except (ValueError, MemoryError):  # numpy's dimension limit, or no memory
+        i = int(delays.argmax())
+        raise ConfigError(_delay_error(i, configs[i], int(delays[i]))) from None
     return KernelControllerSet(
         kind=kinds,
         sos=sos,
         sos_off=np.array(offsets, dtype=np.int64),
         sos_state=np.zeros((sos.shape[0], 2)),
-        dly_buf=np.zeros((n, max_len)),
+        dly_buf=dly_buf,
         dly_len=delays + 1,
         dly_pos=np.zeros(n, dtype=np.int64),
         gain_n_per_m=gains,

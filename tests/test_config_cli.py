@@ -350,6 +350,40 @@ class TestCliSimulate:
             assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
             assert f"duration {duration!r} s needs {needed} bytes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, key, value, seconds, quoted", [
+        # the thermal noise block: 50 samples x 1e12 substeps
+        ("squeezing.json", ("run", "substeps_per_sample"), 10**12, 0.01,
+         ["substeps_per_sample"]),
+        # a near-zero mode frequency asks for a delay line of 3.8e18 samples
+        ("cooling_sweep.json", ("particles", 0, "radius_meters"), 193500, 0.3,
+         ["controllers[0]", "delay_samples", "radius_meters"]),
+        # a finite mass whose square is beyond the float range
+        ("squeezing.json", ("particles", 0, "density_kg_per_m3"), 1.85e303, 0.3,
+         ["particles[0]", "density_kg_per_m3"]),
+        ("characterised_pair.json", ("particles", 0, "density_kg_per_m3"), 1.85e303, 0.3,
+         ["particles[0]", "density_kg_per_m3"]),
+        # nHz modes: the filter chain passes nothing at the carrier
+        ("squeezing.json", ("trap", "z0_meters"), 3.5e9, 0.3, ["controllers[0]", "z0_meters"]),
+        ("cooling_sweep.json", ("trap", "z0_meters"), 3.5e9, 0.3, ["controllers[0]", "z0_meters"]),
+    ])
+    def test_out_of_range_at_run_time_exit_code(self, tmp_path, capsys, name, key, value,
+                                                 seconds, quoted):
+        # each value parses, and fails only when the run is set up
+        raw = json.loads((CONFIG_DIR / name).read_text())
+        raw["run"]["duration_seconds"] = seconds
+        node = raw
+        for part in key[:-1]:
+            node = node[part]
+        node[key[-1]] = value
+        path = write_config(tmp_path, raw)
+        with warnings.catch_warnings():  # nHz modes overlap the bandpass
+            warnings.simplefilter("ignore", UserWarning)
+            code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        for key_name in quoted:
+            assert f"'{key_name}'" in err, key_name
+
 
 class TestCliSweep:
     def test_sweep_aggregation(self, tmp_path):

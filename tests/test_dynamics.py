@@ -1,9 +1,11 @@
 """Integrator correctness: determinism, thermal statistics, faults."""
 
+import io
 import os
 import shutil
 import subprocess
 import sys
+import sysconfig
 import time
 from pathlib import Path
 
@@ -283,6 +285,17 @@ print(_kernel.BACKEND, _kernel.BUILD_ERROR)
 """
 
 
+def fail_the_build(monkeypatch, tmp_path):
+    """Make the next kernel call try a build with a missing compiler."""
+    monkeypatch.setattr(_kernel, "_CC", str(tmp_path / "no-such-cc"))
+    monkeypatch.setattr(_kernel, "_CACHE_DIR", tmp_path)
+    monkeypatch.setattr(_kernel, "BACKEND", None)
+    monkeypatch.setattr(_kernel, "BUILD_ERROR", None)
+    monkeypatch.setattr(_kernel, "_c_kernel", None)
+    monkeypatch.setattr(_kernel, "_c_sosfilt", None)
+    monkeypatch.setattr(_kernel, "_c_format_rows", None)
+
+
 class TestKernelBuild:
     """The compiled kernel is built on first use, or run_block falls back."""
 
@@ -297,12 +310,7 @@ class TestKernelBuild:
         calls = []
         python = _kernel.run_block_python
         monkeypatch.setattr(_kernel, "run_block_python", lambda *a: calls.append(a) or python(*a))
-        monkeypatch.setattr(_kernel, "_CC", str(tmp_path / "no-such-cc"))
-        monkeypatch.setattr(_kernel, "_CACHE_DIR", tmp_path)
-        monkeypatch.setattr(_kernel, "BACKEND", None)
-        monkeypatch.setattr(_kernel, "BUILD_ERROR", None)
-        monkeypatch.setattr(_kernel, "_c_kernel", None)
-        monkeypatch.setattr(_kernel, "_c_sosfilt", None)
+        fail_the_build(monkeypatch, tmp_path)
         fallback = closed_loop(paper_trap, controllers)
         assert _kernel.BACKEND == "python"
         assert "no-such-cc" in _kernel.BUILD_ERROR
@@ -338,12 +346,7 @@ class TestKernelBuild:
         calls = []
         python = _kernel.sosfilt_python
         monkeypatch.setattr(_kernel, "sosfilt_python", lambda *a: calls.append(a) or python(*a))
-        monkeypatch.setattr(_kernel, "_CC", str(tmp_path / "no-such-cc"))
-        monkeypatch.setattr(_kernel, "_CACHE_DIR", tmp_path)
-        monkeypatch.setattr(_kernel, "BACKEND", None)
-        monkeypatch.setattr(_kernel, "BUILD_ERROR", None)
-        monkeypatch.setattr(_kernel, "_c_kernel", None)
-        monkeypatch.setattr(_kernel, "_c_sosfilt", None)
+        fail_the_build(monkeypatch, tmp_path)
         fallback = _kernel.sosfilt(sos, x)
         assert _kernel.BACKEND == "python"
         assert calls
@@ -395,6 +398,84 @@ class TestKernelBuild:
             assert out.split() == ["c", "None"], out
         files = list(cache.iterdir())
         assert len(files) == 1 and files[0].suffix == ".so", files
+
+    def test_build_removes_stale_libraries(self, monkeypatch, tmp_path):
+        if shutil.which(_kernel._CC) is None:
+            pytest.skip(f"no C compiler '{_kernel._CC}' on PATH")
+        platform = sysconfig.get_platform()
+        stale = [tmp_path / f"_kernel.{platform}.{key}.so" for key in ("0" * 16, "f" * 16)]
+        kept = [tmp_path / f"_kernel.other-platform.{'0' * 16}.so", tmp_path / "notes.txt"]
+        for path in stale + kept:
+            path.write_bytes(b"")
+        monkeypatch.setattr(_kernel, "_CACHE_DIR", tmp_path)
+        monkeypatch.setattr(_kernel, "BACKEND", None)
+        monkeypatch.setattr(_kernel, "BUILD_ERROR", None)
+        monkeypatch.setattr(_kernel, "_c_kernel", None)
+        monkeypatch.setattr(_kernel, "_c_sosfilt", None)
+        monkeypatch.setattr(_kernel, "_c_format_rows", None)
+        _kernel._load()
+        assert _kernel.BACKEND == "c", _kernel.BUILD_ERROR
+        assert sorted(tmp_path.iterdir()) == sorted(kept + [_kernel._library_path()])
+
+
+def writer_inputs():
+    """Edge values, then random 64-bit patterns, as one float64 vector."""
+    fi = np.finfo(np.float64)
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                     0xFFF0000000000001, 0x7FF4000000000000, 0xFFFFFFFFFFFFFFFF],
+                    dtype=np.uint64).view(np.float64)  # either sign, with payloads
+    around = [np.nextafter(x, toward) for x in (1e16, 1e17) for toward in (0.0, np.inf)]
+    edges = np.concatenate([[0.0, -0.0, np.inf, -np.inf, fi.max, -fi.max, fi.tiny, -fi.tiny,
+                             fi.smallest_subnormal, -fi.smallest_subnormal, 2.5e-320,
+                             -1.2345678901234567e-308, 1e16, 1e17, 1e-4, 1e-5, 0.1,
+                             2.0**-25],  # 2.98023223876953125e-08: a tie at the 17th digit
+                            around, nans])
+    bits = np.random.default_rng(8).integers(0, 2**64, 30000, dtype=np.uint64, endpoint=False)
+    return np.concatenate([edges, -edges, bits.view(np.float64)])
+
+
+class TestWriterParity:
+    """write_columns writes the bytes of np.savetxt(fmt="%.17g", delimiter=",")."""
+
+    @pytest.mark.parametrize("backend", ["c", "python"])
+    def test_matches_savetxt(self, monkeypatch, tmp_path, backend):
+        if backend == "c" and shutil.which(_kernel._CC) is None:
+            pytest.skip(f"no C compiler '{_kernel._CC}' on PATH")
+        if backend == "python":
+            fail_the_build(monkeypatch, tmp_path)
+        values = writer_inputs()
+        chunk = _kernel._WRITE_CHUNK_ROWS
+        cases = [
+            [values, values[::-1], np.roll(values, 11)],  # not C-contiguous: values[::-1]
+            [values[:0], values[:0]],
+            [values[:1]],
+            [values[: 2 * chunk + 7], values[1 : 2 * chunk + 8]],
+            [values[:chunk]],
+        ]
+        for columns in cases:
+            names = [f"c{i}" for i in range(len(columns))]
+            expected = io.StringIO()
+            expected.write(",".join(names) + "\n")
+            np.savetxt(expected, np.column_stack(columns), fmt="%.17g", delimiter=",")
+            got = io.StringIO()
+            dynamics.write_columns(got, names, columns)
+            assert got.getvalue() == expected.getvalue(), len(columns[0])
+        # real text files, as Trajectory.to_csv and the CLI writers open them
+        with open(tmp_path / "savetxt.csv", "w") as fh:
+            fh.write("a,b,c\n")
+            np.savetxt(fh, np.column_stack(cases[0]), fmt="%.17g", delimiter=",")
+        with open(tmp_path / "written.csv", "w") as fh:
+            dynamics.write_columns(fh, ["a", "b", "c"], cases[0])
+        assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+        assert _kernel.BACKEND == backend
+
+    @pytest.mark.parametrize("backend", ["c", "python"])
+    def test_bad_columns_raise(self, monkeypatch, tmp_path, backend):
+        if backend == "python":
+            fail_the_build(monkeypatch, tmp_path)
+        for columns in ([], [np.zeros(3), np.zeros(4)], [np.zeros((3, 2))]):
+            with pytest.raises(ValueError, match="write_rows: columns"):
+                _kernel.write_rows(io.StringIO(), columns)
 
 
 class TestOfflineControllerPath:
