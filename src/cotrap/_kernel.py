@@ -50,9 +50,7 @@ _CACHE_DIR = Path(__file__).with_name("__pycache__")
 
 BACKEND = None  # "c" or "python", set by the first run_block, sosfilt or write_rows call
 BUILD_ERROR = None  # why the C kernel did not load, when BACKEND is "python"
-_c_kernel = None
-_c_sosfilt = None
-_c_format_rows = None
+_lib = None  # the loaded C library, None when BACKEND is "python"
 
 # write_rows formats this many rows per C call into one reused buffer of
 # _VALUE_BYTES per value: the longest %.17g, -1.2345678901234567e-308, is
@@ -271,8 +269,8 @@ _C_ARGTYPES = [{"P": ctypes.c_void_p, "D": ctypes.c_double, "I": ctypes.c_int64}
 
 
 def _load():
-    """Build or reuse the compiled kernel and set BACKEND and BUILD_ERROR."""
-    global BACKEND, BUILD_ERROR, _c_kernel, _c_sosfilt, _c_format_rows
+    """Build or reuse the compiled kernel and set BACKEND, BUILD_ERROR and _lib."""
+    global BACKEND, BUILD_ERROR, _lib
     try:
         path = _library_path()
         if not path.exists():
@@ -280,8 +278,7 @@ def _load():
         lib = ctypes.CDLL(str(path))
         fn, filt, fmt = lib.cotrap_run_block, lib.cotrap_sosfilt, lib.cotrap_format_rows
     except OSError as exc:  # no compiler, a failed compile, an unwritable cache, a bad file
-        BACKEND, BUILD_ERROR = "python", str(exc)
-        _c_kernel = _c_sosfilt = _c_format_rows = None
+        BACKEND, BUILD_ERROR, _lib = "python", str(exc), None
         return
     fn.argtypes = _C_ARGTYPES
     fn.restype = ctypes.c_int64
@@ -291,8 +288,7 @@ def _load():
     fmt.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
                     ctypes.c_void_p, ctypes.c_int64]
     fmt.restype = ctypes.c_int64
-    BACKEND, BUILD_ERROR = "c", None
-    _c_kernel, _c_sosfilt, _c_format_rows = fn, filt, fmt
+    BACKEND, BUILD_ERROR, _lib = "c", None, lib
 
 
 def _buffer(name, a, dtype, shape, writes=False, caller="run_block"):
@@ -373,10 +369,10 @@ def run_block(*args):
     if BACKEND is None:
         _load()
     c_args = _c_args(*args)
-    if _c_kernel is None:
+    if _lib is None:
         return run_block_python(*args)
     fault_at = ctypes.c_int64()
-    fault = _c_kernel(*c_args, ctypes.byref(fault_at))
+    fault = _lib.cotrap_run_block(*c_args, ctypes.byref(fault_at))
     return fault, fault_at.value
 
 
@@ -393,11 +389,11 @@ def sosfilt(sos, x):
     _buffer("x", x, np.float64, (None,), caller="sosfilt")
     if not np.all(sos[:, 3] == 1.0):
         raise ValueError(f"sosfilt: sos[:, 3] must be all ones, got {sos[:, 3]}")
-    if _c_sosfilt is None:
+    if _lib is None:
         return sosfilt_python(sos, x)
     out = x.copy()
     state = np.zeros((sos.shape[0], 2))
-    _c_sosfilt(p_sos, sos.shape[0], state.ctypes.data, out.ctypes.data, out.shape[0])
+    _lib.cotrap_sosfilt(p_sos, sos.shape[0], state.ctypes.data, out.ctypes.data, out.shape[0])
     return out
 
 
@@ -423,14 +419,15 @@ def write_rows(fh, columns):
     if len(shapes) != 1 or len(next(iter(shapes))) != 1:
         raise ValueError(f"write_rows: columns must be 1-D arrays of one length, "
                          f"got shapes {[c.shape for c in columns]}")
-    if _c_format_rows is None:
+    if _lib is None:
         return write_rows_python(fh, columns)
     n_rows, n_cols = columns[0].shape[0], len(columns)
     pointers = (ctypes.c_void_p * n_cols)(*(c.ctypes.data for c in columns))
     size = _WRITE_CHUNK_ROWS * n_cols * _VALUE_BYTES
     buf = ctypes.create_string_buffer(size)
     for r0 in range(0, n_rows, _WRITE_CHUNK_ROWS):
-        n = _c_format_rows(pointers, n_cols, r0, min(r0 + _WRITE_CHUNK_ROWS, n_rows), buf, size)
+        n = _lib.cotrap_format_rows(pointers, n_cols, r0, min(r0 + _WRITE_CHUNK_ROWS, n_rows),
+                                    buf, size)
         if n < 0:  # a full buffer, which _VALUE_BYTES rules out, or no "C" locale
             raise RuntimeError(f"write_rows: formatting rows from {r0} failed")
         fh.write(ctypes.string_at(buf, n).decode("ascii"))

@@ -95,11 +95,7 @@ def _hann(n):
     """
     if n == 1:
         return np.ones(1)
-    fac = np.linspace(-np.pi, np.pi, n + 1)
-    w = np.zeros(n + 1)
-    for k, a in enumerate(np.asarray([0.5, 0.5])):
-        w += a * np.cos(k * fac)
-    return w[:-1]
+    return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
 
 
 def _segmentation(n, segment_length, overlap):
@@ -261,8 +257,6 @@ class RPmFit:
     r_plus: float
     r_minus: float
     leakage_db: float
-    f_plus: float
-    f_minus: float
 
 
 def _band_matrix(p11, p22, p12, freqs, band):
@@ -341,13 +335,7 @@ def fit_r_pm(s1, s2, sample_rate, segment_length=None, overlap=0.5):
     leak_p = psd_p.band_power(*band_hi) / psd_p.band_power(*band_lo)
     leak_m = psd_m.band_power(*band_lo) / psd_m.band_power(*band_hi)
     leakage_db = 10.0 * math.log10(max(leak_p, leak_m))
-    return RPmFit(
-        r_plus=r_plus,
-        r_minus=r_minus,
-        leakage_db=leakage_db,
-        f_plus=psd_p.peak_frequency(*band_lo),
-        f_minus=psd_m.peak_frequency(*band_hi),
-    )
+    return RPmFit(r_plus=r_plus, r_minus=r_minus, leakage_db=leakage_db)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
-import functools
 import json
 import sys
 import traceback
@@ -184,10 +183,10 @@ def _sweep_row(value, report, error=None):
     return row
 
 
-def _sweep_point(value, outcome):
-    """sweep.csv row of one point; `outcome()` returns its report or raises."""
+def _sweep_point(value, future):
+    """sweep.csv row of one point from its finished future."""
     try:
-        return _sweep_row(value, outcome())
+        return _sweep_row(value, future.result())
     except Exception as exc:  # a failed point must not lose the finished rows
         if not isinstance(exc, CotrapError):
             traceback.print_exception(exc, file=sys.stderr)
@@ -207,18 +206,12 @@ def cmd_sweep(args):
     values = cfg.sweep.values
     jobs = [(cfg.resolved, cfg.sweep.parameter, value, out / f"run_{i:03d}")
             for i, value in enumerate(values)]
-    # a process pool starts all of its workers at the first submit
-    workers = min(workers, len(jobs))
-    rows = [None] * len(jobs)
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_sweep_one, *job): i for i, job in enumerate(jobs)}
-            for fut in concurrent.futures.as_completed(futures):
-                i = futures[fut]
-                rows[i] = _sweep_point(values[i], fut.result)
-    else:
-        for i, job in enumerate(jobs):
-            rows[i] = _sweep_point(values[i], functools.partial(_sweep_one, *job))
+    # every point runs in a worker process whatever the worker count, so
+    # the rows do not depend on it; a process pool starts all of its
+    # workers at the first submit
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        futures = [pool.submit(_sweep_one, *job) for job in jobs]
+        rows = [_sweep_point(value, fut) for value, fut in zip(values, futures)]
     failures = sum(row["status"] != "ok" for row in rows)
     columns = ["value", "status"]
     for row in rows:

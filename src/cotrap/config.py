@@ -190,23 +190,6 @@ def _section(section, data, schema):
 
 
 @dataclass
-class ControllerSettings:
-    """Raw controller request; resolved against the mode structure at run time."""
-
-    kind: str
-    target_mode: str
-    gain: float
-    bandwidth: float | None
-    order: int
-    delay_samples: int | None
-    drive_phase: float
-    drive_freq: float | None
-    notch: bool
-    notch_bandwidth: float | None
-    force_limit: float
-
-
-@dataclass
 class RunSettings:
     duration: float
     sample_rate: float
@@ -242,7 +225,7 @@ class ExperimentConfig:
     particles: tuple
     noise: NoiseModel
     detection: DetectionModel | None
-    controllers: list
+    controllers: list  # design_controller keyword arguments, one dict per controller
     run: RunSettings
     analysis: AnalysisSettings
     sweep: SweepSettings | None
@@ -306,7 +289,7 @@ def _parse_controller(idx, data, sample_rate):
             f"key 'drive_freq_rad_per_s' in section '{section}' must be below the "
             f"Nyquist rate pi * sample_rate_hz = {math.pi * sample_rate:.6g} rad/s"
         )
-    return ControllerSettings(**c)
+    return c
 
 
 def parse_config(raw, seed_override=None):
@@ -410,7 +393,6 @@ def load_config(path, seed_override=None):
     return parse_config(raw, seed_override=seed_override)
 
 
-def serialize_config(cfg_or_raw):
+def serialize_config(cfg):
     """Canonical JSON text of a configuration (sorted keys, stable floats)."""
-    raw = cfg_or_raw.resolved if isinstance(cfg_or_raw, ExperimentConfig) else cfg_or_raw
-    return json.dumps(raw, sort_keys=True, indent=2) + "\n"
+    return json.dumps(cfg.resolved, sort_keys=True, indent=2) + "\n"

@@ -328,8 +328,6 @@ def simulate(trap, p1, p2, noise, controllers=(), *, duration, dt, sample_rate,
     if coulomb_coupling and z2 <= z1:
         raise ConfigError("initial state must have z2 > z1")
 
-    kset, info = feedback.build_kernel_set(controllers, sample_rate, p1.mass)
-
     pos = np.array([z1, z2])
     vel = np.array([v1, v2])
     try:
@@ -349,6 +347,8 @@ def simulate(trap, p1, p2, noise, controllers=(), *, duration, dt, sample_rate,
             f"dt = {dt:.4g} s is {n_sub} substeps per sample ('substeps_per_sample'), and "
             f"a block of {block} samples needs {16.0 * block * n_sub:.4g} bytes of noise"
         ) from None
+    # the last check before the loop: a chain it builds is a chain that runs
+    kset, info = feedback.build_kernel_set(controllers, sample_rate, p1.mass)
     hold_force = np.zeros(len(controllers))
 
     fault = _kernel.FAULT_NONE

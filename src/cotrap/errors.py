@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each one survives pickling, so a sweep point that fails in a worker
+process reaches the parent as the same exception.
+"""
 
 
 class CotrapError(Exception):
@@ -19,6 +23,9 @@ class UnstableAxisError(CotrapError):
             f"axis '{axis}' is unstable: a + q^2/2 = {value:.3e} <= 0"
         )
 
+    def __reduce__(self):
+        return type(self), (self.axis, self.value)
+
 
 class UnstableModeError(CotrapError):
     """A normal-mode eigenvalue is non-positive."""
@@ -31,6 +38,9 @@ class UnstableModeError(CotrapError):
             f"{omega_sq_plus:.3e}, omega_minus^2 = {omega_sq_minus:.3e}"
         )
 
+    def __reduce__(self):
+        return type(self), (self.omega_sq_plus, self.omega_sq_minus)
+
 
 class IntegrationFault(CotrapError):
     """The time-domain integration failed (particle crossing or overflow)."""
@@ -39,6 +49,9 @@ class IntegrationFault(CotrapError):
         self.reason = reason
         self.time = time
         super().__init__(f"integration fault at t = {time:.6g} s: {reason}")
+
+    def __reduce__(self):
+        return type(self), (self.reason, self.time)
 
 
 class AnalysisError(CotrapError):

@@ -134,12 +134,6 @@ class ControllerConfig:
                 raise ConfigError("notch frequency outside (0, Nyquist)")
             if self.notch_bandwidth <= 0:
                 raise ConfigError("notch_bandwidth must be > 0 when a notch is set")
-            if abs(self.notch - self.center) <= self.bandwidth:
-                warnings.warn(
-                    "bandpass overlaps the untargeted mode: "
-                    f"|{self.notch:.4g} - {self.center:.4g}| <= bandwidth {self.bandwidth:.4g}",
-                    stacklevel=3,
-                )
 
     @property
     def drive_omega(self):
@@ -322,6 +316,13 @@ def build_kernel_set(configs, sample_rate, mass):
     except (ValueError, MemoryError):  # numpy's dimension limit, or no memory
         i = int(delays.argmax())
         raise ConfigError(_delay_error(i, configs[i], int(delays[i]))) from None
+    for cfg in configs:  # only for a chain that passed every check above
+        if cfg.notch is not None and abs(cfg.notch - cfg.center) <= cfg.bandwidth:
+            warnings.warn(
+                "bandpass overlaps the untargeted mode: "
+                f"|{cfg.notch:.4g} - {cfg.center:.4g}| <= bandwidth {cfg.bandwidth:.4g}",
+                stacklevel=2,
+            )
     return KernelControllerSet(
         kind=kinds,
         sos=sos,

@@ -35,7 +35,6 @@ def entry(value, sigma=None):
 @dataclass
 class ExperimentResult:
     trajectory: object
-    reference: object
     report: dict
     psds: dict
     quadratures: dict
@@ -45,7 +44,7 @@ def resolve_controllers(config, modes):
     """Design ControllerConfigs for the raw controller requests."""
     return [
         design_controller(modes=modes, sample_rate=config.run.sample_rate,
-                          mass=config.particles[0].mass, **vars(cs))
+                          mass=config.particles[0].mass, **cs)
         for cs in config.controllers
     ]
 
@@ -81,10 +80,7 @@ def run_experiment(config):
         traj, modes, p1, p2, config.analysis, controllers=controllers,
         reference=reference,
     )
-    return ExperimentResult(
-        trajectory=traj, reference=reference, report=report, psds=psds,
-        quadratures=quads,
-    )
+    return ExperimentResult(trajectory=traj, report=report, psds=psds, quadratures=quads)
 
 
 def _mode_effective_mass(modes, which, m1, m2):
@@ -270,7 +266,23 @@ def analyze_trajectory(traj, modes, p1, p2, settings, controllers=(),
                 "n_independent": entry(res.n_independent),
                 "reliable": bool(res.reliable),
             }
+    _require_finite(report)
     return report, psds, quads
+
+
+def _require_finite(node, name=""):
+    """Raise AnalysisError naming the first estimate (an entry with a sigma)
+    whose value or sigma is not finite; an exact entry may be infinite."""
+    if isinstance(node, dict) and "sigma" in node:
+        if not (math.isfinite(node["value"]) and math.isfinite(node["sigma"])):
+            raise AnalysisError(f"estimate '{name}' is not finite: value {node['value']}, "
+                                f"sigma {node['sigma']}")
+    elif isinstance(node, dict):
+        for key, child in node.items():
+            _require_finite(child, f"{name}.{key}" if name else key)
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            _require_finite(child, f"{name}[{i}]")
 
 
 def _flatten(prefix, obj, lines):

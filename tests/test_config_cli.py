@@ -3,6 +3,7 @@
 import concurrent.futures
 import csv
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -13,7 +14,8 @@ from cotrap import cli
 from cotrap.cli import main
 from cotrap.config import parse_config, serialize_config
 from cotrap.dynamics import Trajectory
-from cotrap.errors import ConfigError
+from cotrap.errors import AnalysisError, ConfigError
+from cotrap.report import _require_finite
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -91,7 +93,7 @@ class TestParsing:
         again = parse_config(json.loads(text))
         assert serialize_config(again) == text
         assert cfg.noise.force_noise_psd == (1e-40, 2e-40)
-        assert cfg.controllers[1].notch is False
+        assert cfg.controllers[1]["notch"] is False
 
     def test_mass_from_radius_density(self):
         cfg = parse_config(base_config())
@@ -340,6 +342,26 @@ class TestCliSimulate:
         assert code == 3
         assert "fault" in capsys.readouterr().err
 
+    def test_runaway_estimate_exit_code(self, tmp_path, capsys):
+        # the loop antidamps without a kernel fault: the mode grows to 1e200 m
+        # and the estimates overflow; no report with NaN or Infinity is written
+        raw = json.loads((CONFIG_DIR / "cooling_sweep.json").read_text())
+        del raw["sweep"]
+        raw["controllers"][0]["gamma_fb_rad_per_s"] = 20000.0
+        raw["run"]["duration_seconds"] = 0.3
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "x"
+        with np.errstate(all="ignore"):
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+        assert "estimate 'measured.f_plus_hz' is not finite" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_only_estimates_must_be_finite(self):
+        # an exact entry may be infinite: g = G / G_th is inf when gamma0 = 0
+        _require_finite({"controllers": [{"g": {"value": math.inf, "exact": True}}]})
+        with pytest.raises(AnalysisError, match=r"'controllers\[0\]\.t' is not finite"):
+            _require_finite({"controllers": [{"t": {"value": 1.0, "sigma": math.nan}}]})
+
     def test_huge_duration_exit_code(self, tmp_path, capsys):
         # the sample count is checked before the output arrays are allocated;
         # 1e306 s makes it infinite, 1e300 s exceeds numpy's dimension limit
@@ -376,10 +398,12 @@ class TestCliSimulate:
             node = node[part]
         node[key[-1]] = value
         path = write_config(tmp_path, raw)
-        with warnings.catch_warnings():  # nHz modes overlap the bandpass
-            warnings.simplefilter("ignore", UserWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
         assert code == 2
+        # nHz modes overlap the bandpass, but a rejected chain does not warn
+        assert not [w for w in caught if "overlaps" in str(w.message)]
         err = capsys.readouterr().err
         for key_name in quoted:
             assert f"'{key_name}'" in err, key_name
@@ -462,6 +486,28 @@ class TestCliSweep:
             assert len(lines) == 2
             assert "'failed'" in lines[1] and error in lines[1]
 
+
+    def test_faulting_point_same_for_any_worker_count(self, tmp_path):
+        # the gain of 20000 rad/s antidamps until the kernel faults at
+        # t = 0.447 s; that point's error crosses back from its worker
+        # process, and the other points' rows are kept
+        raw = json.loads((CONFIG_DIR / "cooling_sweep.json").read_text())
+        raw["run"]["duration_seconds"] = 1.0
+        raw["sweep"]["values"] = [20.0, 20000.0, 60.0]
+        path = write_config(tmp_path, raw)
+        outs = [tmp_path / f"workers{w}" for w in (1, 2)]
+        for w, out in zip((1, 2), outs):
+            assert main(["sweep", "--config", str(path), "--seed", "7", "--workers", str(w),
+                         "--out", str(out)]) == 4
+        with open(outs[0] / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == ["'ok'", "'failed'", "'ok'"]
+        assert rows[1]["error"].startswith("'IntegrationFault: integration fault at t = 0.44")
+        files = [sorted(p.relative_to(out) for p in out.rglob("*")) for out in outs]
+        assert files[0] == files[1] and len(files[0]) > 1
+        for name in files[0]:
+            if (outs[0] / name).is_file():
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_workers_below_one_rejected(self, tmp_path, capsys):
         raw = base_config()

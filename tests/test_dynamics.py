@@ -291,9 +291,7 @@ def fail_the_build(monkeypatch, tmp_path):
     monkeypatch.setattr(_kernel, "_CACHE_DIR", tmp_path)
     monkeypatch.setattr(_kernel, "BACKEND", None)
     monkeypatch.setattr(_kernel, "BUILD_ERROR", None)
-    monkeypatch.setattr(_kernel, "_c_kernel", None)
-    monkeypatch.setattr(_kernel, "_c_sosfilt", None)
-    monkeypatch.setattr(_kernel, "_c_format_rows", None)
+    monkeypatch.setattr(_kernel, "_lib", None)
 
 
 class TestKernelBuild:
@@ -359,7 +357,7 @@ class TestKernelBuild:
         x = np.zeros(64)
         _kernel.sosfilt(sos, x)  # loads the kernel
         if backend == "python":
-            monkeypatch.setattr(_kernel, "_c_sosfilt", None)
+            monkeypatch.setattr(_kernel, "_lib", None)
         cases = [
             (sos, x.astype(np.float32), "x"),
             (sos, x[::2], "x"),
@@ -410,9 +408,7 @@ class TestKernelBuild:
         monkeypatch.setattr(_kernel, "_CACHE_DIR", tmp_path)
         monkeypatch.setattr(_kernel, "BACKEND", None)
         monkeypatch.setattr(_kernel, "BUILD_ERROR", None)
-        monkeypatch.setattr(_kernel, "_c_kernel", None)
-        monkeypatch.setattr(_kernel, "_c_sosfilt", None)
-        monkeypatch.setattr(_kernel, "_c_format_rows", None)
+        monkeypatch.setattr(_kernel, "_lib", None)
         _kernel._load()
         assert _kernel.BACKEND == "c", _kernel.BUILD_ERROR
         assert sorted(tmp_path.iterdir()) == sorted(kept + [_kernel._library_path()])

@@ -78,9 +78,12 @@ class TestChainDesign:
         assert abs(h) < 1e-10
 
     def test_overlap_warning(self, modes, damped_pair):
-        with pytest.warns(UserWarning, match="overlaps"):
-            damper(modes, damped_pair[0].mass,
-                   bandwidth=2 * abs(modes.omega_minus - modes.omega_plus))
+        # the warning comes when the chain is built to run, once per chain
+        cfg = damper(modes, damped_pair[0].mass,
+                     bandwidth=2 * abs(modes.omega_minus - modes.omega_plus))
+        with pytest.warns(UserWarning, match="overlaps") as caught:
+            Controller(cfg).process(np.zeros(16))
+        assert len(caught) == 1
 
     def test_validation(self, modes, damped_pair):
         mass = damped_pair[0].mass
