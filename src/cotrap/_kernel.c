@@ -1,13 +1,13 @@
 /* Inner integration and controller loops, a C port of run_block_python,
- * controller_step and sosfilt_python in _kernel.py, and the %.17g text
- * formatter behind write_rows.
+ * controller_step and sosfilt_python in _kernel.py, the %.17g text
+ * formatter behind write_rows and the number parser behind read_rows.
  *
  * Every floating-point operation is the one the Python reference does, in
  * the same order, so that with -ffp-contract=off (no fused multiply-add)
  * and no fast-math the results are bit-identical.  _kernel.py compiles
- * this file on the first run_block, sosfilt or write_rows call and checks
- * the dtype, contiguity and shape of every array before calling in;
- * nothing here re-checks.
+ * this file on the first run_block, sosfilt, write_rows or read_rows call
+ * and checks the dtype, contiguity and shape of every array before calling
+ * in; nothing here re-checks.
  *
  * Arrays are C-contiguous: thermal is (n_samples, n_sub, 2), sos is
  * (n_sections, 5) in run_block and (n_sections, 6) in sosfilt, sos_state
@@ -15,17 +15,19 @@
  * (n_ctrl, n_stored).  Integer arrays are int64.
  */
 
-#define _POSIX_C_SOURCE 200809L /* newlocale, uselocale */
+#define _GNU_SOURCE /* newlocale, uselocale, strtod_l */
 
 #include <locale.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define FAULT_NONE 0
 #define FAULT_CROSSING 1
 #define FAULT_NONFINITE 2
+#define FAULT_ESCAPED 3
 
 #define KIND_SQUEEZER 1
 
@@ -81,7 +83,7 @@ int64_t cotrap_run_block(
     const double *lo_phase, const double *force_limit, int64_t *sat_count,
     double *hold_force, int64_t store_every, double *out_z1, double *out_z2,
     double *out_v1, double *out_v2, double *out_y, double *out_force,
-    int64_t n_stored, int64_t *fault_at)
+    int64_t n_stored, double z_limit, int64_t *fault_at)
 {
     double z1 = pos[0];
     double z2 = pos[1];
@@ -136,6 +138,11 @@ int64_t cotrap_run_block(
         double y = z1 + det_sigma * det_noise[i];
         int64_t gi = block_index0 + i;
         if ((gi + 1) % store_every == 0) {
+            if (fabs(z1) > z_limit || fabs(z2) > z_limit) {
+                fault = FAULT_ESCAPED;
+                *fault_at = i;
+                break;
+            }
             int64_t si = (gi + 1) / store_every - 1;
             out_z1[si] = z1;
             out_z2[si] = z2;
@@ -216,4 +223,68 @@ done:
     uselocale(caller);
     freelocale(c_locale);
     return len;
+}
+
+/* The characters strtod may consume that also belong to a decimal number,
+ * "inf", "infinity" or "nan": no "x" of a hex float, no "(" of "nan(...)"
+ * and no white space. */
+static int number_char(char c)
+{
+    switch (c) {
+    case '0': case '1': case '2': case '3': case '4': case '5': case '6':
+    case '7': case '8': case '9': case '+': case '-': case '.': case 'e':
+    case 'E': case 'i': case 'I': case 'n': case 'N': case 'f': case 'F':
+    case 'a': case 'A': case 't': case 'T': case 'y': case 'Y':
+        return 1;
+    default:
+        return 0;
+    }
+}
+
+/* Parses the complete rows at the start of buf[0, len): each row is n_cols
+ * numbers separated by commas and ended by a newline, and each number is
+ * what strtod reads in the "C" locale, except hex floats, "nan(...)" and
+ * white space around it.  Stores the rows row-major into out, at most
+ * max_rows of them, and *consumed = the bytes they take.  A last row with
+ * no newline is left unread.  Returns the number of rows stored, or
+ * -1 - r when row r (counted from 0) is not n_cols numbers, *consumed then
+ * being the offset of that row, or INT64_MIN when there is no "C" locale. */
+int64_t cotrap_parse_rows(const char *buf, int64_t len, int64_t n_cols,
+                          double *out, int64_t max_rows, int64_t *consumed)
+{
+    locale_t c_locale = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
+    *consumed = 0;
+    if (c_locale == (locale_t)0)
+        return INT64_MIN;
+    const char *row = buf, *stop = buf + len;
+    int64_t r = 0;
+    for (; r < max_rows; r++) {
+        const char *eol = memchr(row, '\n', (size_t)(stop - row));
+        if (eol == NULL)
+            break;
+        const char *p = row;
+        for (int64_t c = 0; c < n_cols; c++) {
+            /* strtod skips leading white space, a newline too, so it
+             * starts only on a character of a number */
+            if (!number_char(*p))
+                goto bad;
+            char *end;
+            double v = strtod_l(p, &end, c_locale);
+            for (const char *q = p; q < end; q++)
+                if (!number_char(*q))
+                    goto bad;
+            if (end == p || *end != (c + 1 < n_cols ? ',' : '\n'))
+                goto bad;
+            out[n_cols * r + c] = v;
+            p = end + 1;
+        }
+        row = eol + 1;
+    }
+    freelocale(c_locale);
+    *consumed = row - buf;
+    return r;
+bad:
+    freelocale(c_locale);
+    *consumed = row - buf;
+    return -1 - r;
 }

@@ -1,13 +1,15 @@
-"""Inner integration, controller and filter loops, and the CSV number writer.
+"""Inner integration, controller and filter loops, and the CSV number
+writer and reader.
 
 run_block integrates one block of samples on pre-generated noise arrays;
 sosfilt runs a signal through second-order sections; write_rows writes
-float columns as %.17g text.  Each runs the C port in _kernel.c, compiled
-with the system compiler on the first call and cached in this package's
-__pycache__/, or, when that build fails, run_block_python, sosfilt_python
-and write_rows_python, the references the C port matches bit for bit (byte
-for byte for the text).  BACKEND and BUILD_ERROR record which one runs and
-why.
+float columns as %.17g text and read_rows reads such rows back.  Each runs
+the C port in _kernel.c, compiled with the system compiler on the first
+call and cached in this package's __pycache__/, or, when that build fails,
+run_block_python, sosfilt_python, write_rows_python and read_rows_python,
+the references the C port matches bit for bit (byte for byte for the text,
+and with the same errors for the reader).  BACKEND and BUILD_ERROR record
+which one runs and why.
 
 Controller state layout (one row / slot per controller):
   sos[s, :]      biquad coefficients b0, b1, b2, a1, a2 (a0 normalized out)
@@ -22,8 +24,10 @@ Controller state layout (one row / slot per controller):
 import ctypes
 import functools
 import hashlib
+import itertools
 import operator
 import os
+import re
 import subprocess
 import sysconfig
 import tempfile
@@ -34,6 +38,7 @@ import numpy as np
 FAULT_NONE = 0
 FAULT_CROSSING = 1
 FAULT_NONFINITE = 2
+FAULT_ESCAPED = 3
 
 KIND_DAMPER = 0
 KIND_SQUEEZER = 1
@@ -48,7 +53,7 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
 
-BACKEND = None  # "c" or "python", set by the first run_block, sosfilt or write_rows call
+BACKEND = None  # "c" or "python", set by the first call of any of the four
 BUILD_ERROR = None  # why the C kernel did not load, when BACKEND is "python"
 _lib = None  # the loaded C library, None when BACKEND is "python"
 
@@ -57,6 +62,11 @@ _lib = None  # the loaded C library, None when BACKEND is "python"
 # 24 bytes, plus its comma or newline
 _WRITE_CHUNK_ROWS = 4096
 _VALUE_BYTES = 25
+
+# read_rows reads the file through one reused buffer of this many bytes,
+# which is also the longest row, newline included, that either backend
+# accepts: 5242 values of 25 bytes
+_READ_BUFFER_BYTES = 1 << 17
 
 
 def controller_step(y, t, c, kind, sos, sos_off, sos_state, dly_buf, dly_len,
@@ -118,7 +128,7 @@ def run_block_python(pos, vel, m1, m2, u1, u2, kq, coulomb_on,
                      kind, sos, sos_off, sos_state, dly_buf, dly_len, dly_pos,
                      gain_n_per_m, lo_omega, lo_phase, force_limit, sat_count,
                      hold_force, store_every, out_z1, out_z2, out_v1, out_v2,
-                     out_y, out_force):
+                     out_y, out_force, z_limit):
     """Integrate one block of output samples with feedback held per sample.
 
     Symplectic drift-kick steps wrapped around an exact damping/noise
@@ -126,7 +136,8 @@ def run_block_python(pos, vel, m1, m2, u1, u2, kq, coulomb_on,
     force computed from sample n's measurement is held constant over the
     whole of sample window n+1 (zero-order hold, one sample of loop
     latency).  Samples are stored instantaneously every `store_every`
-    windows.
+    windows; a sample to be stored with |z1| or |z2| above z_limit is the
+    FAULT_ESCAPED fault instead.
 
     Returns (fault_code, sample_index_within_block).
     """
@@ -182,6 +193,10 @@ def run_block_python(pos, vel, m1, m2, u1, u2, kq, coulomb_on,
         y = z1 + det_sigma * det_noise[i]
         gi = block_index0 + i
         if (gi + 1) % store_every == 0:
+            if abs(z1) > z_limit or abs(z2) > z_limit:
+                fault = FAULT_ESCAPED
+                fault_at = i
+                break
             si = (gi + 1) // store_every - 1
             out_z1[si] = z1
             out_z2[si] = z2
@@ -265,7 +280,7 @@ def _build(path):
 # cotrap_run_block's parameters in order: P pointer, D double, I int64
 _C_ARGTYPES = [{"P": ctypes.c_void_p, "D": ctypes.c_double, "I": ctypes.c_int64}[k]
                for k in "PP" "DDDDD" "I" "DDDDD" "IIDIPDP" "I" "PPPPP" "I" "PPPPPPPP"
-                        "I" "PPPPPP" "I" "P"]
+                        "I" "PPPPPP" "I" "D" "P"]
 
 
 def _load():
@@ -277,6 +292,7 @@ def _load():
             _build(path)
         lib = ctypes.CDLL(str(path))
         fn, filt, fmt = lib.cotrap_run_block, lib.cotrap_sosfilt, lib.cotrap_format_rows
+        parse = lib.cotrap_parse_rows
     except OSError as exc:  # no compiler, a failed compile, an unwritable cache, a bad file
         BACKEND, BUILD_ERROR, _lib = "python", str(exc), None
         return
@@ -288,6 +304,9 @@ def _load():
     fmt.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
                     ctypes.c_void_p, ctypes.c_int64]
     fmt.restype = ctypes.c_int64
+    parse.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+                      ctypes.c_int64, ctypes.c_void_p]
+    parse.restype = ctypes.c_int64
     BACKEND, BUILD_ERROR, _lib = "c", None, lib
 
 
@@ -310,7 +329,7 @@ def _c_args(pos, vel, m1, m2, u1, u2, kq, coulomb_on,
             kind, sos, sos_off, sos_state, dly_buf, dly_len, dly_pos,
             gain_n_per_m, lo_omega, lo_phase, force_limit, sat_count,
             hold_force, store_every, out_z1, out_z2, out_v1, out_v2,
-            out_y, out_force):
+            out_y, out_force, z_limit):
     """run_block's arguments as cotrap_run_block takes them.
 
     Checks the dtype, contiguity and shape of every array and every index
@@ -351,7 +370,7 @@ def _c_args(pos, vel, m1, m2, u1, u2, kq, coulomb_on,
           for name, a in (("out_z2", out_z2), ("out_v1", out_v1),
                           ("out_v2", out_v2), ("out_y", out_y))),
         _buffer("out_force", out_force, f8, (n_ctrl, n_stored), writes=True),
-        n_stored,
+        n_stored, z_limit,
     )
     if not np.all(np.diff(sos_off, prepend=0, append=n_sec) >= 0):
         raise ValueError(f"run_block: sos_off {sos_off} must rise from 0 to at most {n_sec}")
@@ -431,3 +450,98 @@ def write_rows(fh, columns):
         if n < 0:  # a full buffer, which _VALUE_BYTES rules out, or no "C" locale
             raise RuntimeError(f"write_rows: formatting rows from {r0} failed")
         fh.write(ctypes.string_at(buf, n).decode("ascii"))
+
+
+# one number of a data row: what strtod reads in the "C" locale, less hex
+# floats, "nan(...)" and white space around the number
+_NUMBER = rb"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|(?i:inf(?:inity)?|nan))"
+
+# cotrap_parse_rows's return value when there is no "C" locale
+_NO_LOCALE = -(2**63)
+
+
+def _row_error(row, n_cols, why):
+    """The ValueError both readers raise for data row `row`, counted from 1."""
+    reasons = {
+        "long": f"does not fit in {_READ_BUFFER_BYTES} bytes",
+        "cut": "has no newline: the file is cut short",
+        "bad": f"is not {n_cols} comma-separated numbers",
+    }
+    return ValueError(f"data row {row} {reasons[why]}")
+
+
+def read_rows_python(fh, n_cols):
+    """The rest of the binary file fh, rows of n_cols comma-separated
+    numbers each ended by a newline, as a (rows, n_cols) float64 array read
+    by np.loadtxt.
+
+    A row is checked before np.loadtxt sees it; the first row that does not
+    fit in _READ_BUFFER_BYTES, has no newline or is not n_cols numbers
+    raises ValueError.  So np.loadtxt never skips a blank or "#" line and
+    never strips white space or a carriage return.
+    """
+    pattern = re.compile(b",".join([_NUMBER] * n_cols) + b"\n")
+
+    def checked(row, line):
+        if len(line) - line.endswith(b"\n") >= _READ_BUFFER_BYTES:
+            raise _row_error(row, n_cols, "long")
+        if not line.endswith(b"\n"):
+            raise _row_error(row, n_cols, "cut")
+        if pattern.fullmatch(line) is None:
+            raise _row_error(row, n_cols, "bad")
+        return line.decode("ascii")
+
+    lines = (checked(row, line) for row, line in enumerate(fh, 1))
+    first = next(lines, None)
+    if first is None:
+        return np.empty((0, n_cols))
+    return np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2)
+
+
+def read_rows(fh, n_cols):
+    """read_rows_python(fh, n_cols), parsed in C unless the C build failed.
+
+    The C parser reads each number with the C library's strtod in the "C"
+    locale, which rounds correctly, as np.loadtxt does, and rejects what
+    read_rows_python rejects, with the same ValueError.  It reads fh
+    through one reused buffer of _READ_BUFFER_BYTES into an array sized for
+    the most rows the rest of the file can hold, two bytes per value, whose
+    untouched pages never become resident, and shrinks it in place at the
+    end.  The text of the whole file is never in memory.
+    """
+    if BACKEND is None:
+        _load()
+    n_cols = operator.index(n_cols)
+    if n_cols < 1:
+        raise ValueError(f"read_rows: n_cols must be at least 1, got {n_cols}")
+    if _lib is None:
+        return read_rows_python(fh, n_cols)
+    try:
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    except OSError:  # an in-memory file; like a pipe, whose size reads 0, it grows the array
+        remaining = 0
+    out = np.empty((max(remaining, 0) // (2 * n_cols), n_cols))
+    buf = np.empty(_READ_BUFFER_BYTES, dtype=np.uint8)
+    consumed = ctypes.c_int64()
+    n_rows = carry = 0
+    while got := fh.readinto(buf[carry:]):
+        end = carry + got
+        bound = n_rows + end // (2 * n_cols)
+        if bound > out.shape[0]:  # more than the file held when it was opened
+            out.resize((max(bound, 2 * out.shape[0]), n_cols), refcheck=False)
+        rows = _lib.cotrap_parse_rows(buf.ctypes.data, end, n_cols,
+                                      out.ctypes.data + out.itemsize * n_cols * n_rows,
+                                      out.shape[0] - n_rows, ctypes.byref(consumed))
+        if rows == _NO_LOCALE:
+            raise RuntimeError("read_rows: the C library has no \"C\" locale")
+        if rows < 0:
+            raise _row_error(n_rows - rows, n_cols, "bad")
+        n_rows += rows
+        carry = end - consumed.value
+        if carry == buf.shape[0]:
+            raise _row_error(n_rows + 1, n_cols, "long")
+        buf[:carry] = buf[consumed.value:end]
+    if carry:
+        raise _row_error(n_rows + 1, n_cols, "cut")
+    out.resize((n_rows, n_cols), refcheck=False)
+    return out

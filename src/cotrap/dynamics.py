@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,7 +116,8 @@ def write_columns(fh, names, columns):
     """Write equal-length float columns as comma-separated text under a
     header line of column names.
 
-    %.17g round-trips every float64 exactly through np.loadtxt.
+    %.17g round-trips every float64 exactly through _kernel.read_rows, NaN
+    as a NaN.
     """
     fh.write(",".join(names) + "\n")
     _kernel.write_rows(fh, columns)
@@ -188,35 +188,28 @@ class Trajectory:
         meta = {}
         sample_rate = None
         columns = None
-        n_header = 0
         try:
-            with open(path) as fh:
-                for line in fh:
-                    if line.startswith("#"):
-                        n_header += 1
-                        body = line[1:].strip()
-                        if body.startswith("meta = "):
-                            meta = json.loads(body[len("meta = "):])
-                        elif body.startswith("sample_rate_hz = "):
-                            sample_rate = float(body[len("sample_rate_hz = "):])
-                        elif body.startswith("columns = "):
-                            columns = body[len("columns = "):].split(",")
-                    else:
-                        break
-            if sample_rate is None or columns is None:
-                raise ConfigError(f"{path} is not a trajectory file")
-            with warnings.catch_warnings():  # no data rows is checked below
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(path, delimiter=",", skiprows=n_header + 1, ndmin=2)
+            with open(path, "rb") as fh:
+                while (line := fh.readline()).startswith(b"#"):
+                    body = line[1:].decode().strip()
+                    if body.startswith("meta = "):
+                        meta = json.loads(body[len("meta = "):])
+                    elif body.startswith("sample_rate_hz = "):
+                        sample_rate = float(body[len("sample_rate_hz = "):])
+                    elif body.startswith("columns = "):
+                        columns = body[len("columns = "):].split(",")
+                if sample_rate is None or columns is None:
+                    raise ConfigError(f"{path} is not a trajectory file")
+                if line != (",".join(columns) + "\n").encode():
+                    raise ConfigError(f"{path}: damaged trajectory file (the row of column "
+                                      f"names is not {','.join(columns)})")
+                data = _kernel.read_rows(fh, len(columns))
         except OSError as exc:  # missing, unreadable, a directory
             raise ConfigError(f"{path}: cannot read trajectory file ({exc.strerror or exc})") from None
-        except ValueError as exc:  # a bad meta line, number or row width
+        except ValueError as exc:  # a bad meta line, number or row
             raise ConfigError(f"{path}: damaged trajectory file ({exc})") from None
         if data.shape[0] == 0:
             raise ConfigError(f"{path}: damaged trajectory file (no data rows)")
-        if data.shape[1] != len(columns):
-            raise ConfigError(f"{path}: damaged trajectory file ({data.shape[1]} values "
-                              f"per row for {len(columns)} columns)")
         n_forces = sum(1 for name in columns if name.startswith("F"))
         if columns != cls._columns("y" in columns, n_forces):
             raise ConfigError(f"{path}: damaged trajectory file (columns {','.join(columns)})")
@@ -264,11 +257,15 @@ def simulate(trap, p1, p2, noise, controllers=(), *, duration, dt, sample_rate,
     if coulomb_coupling:
         modes = mode_structure(trap, p1, p2)
         omega_fast = modes.omega_minus
+        z_eq = max(abs(modes.z1_eq), abs(modes.z2_eq))
     else:
         omega_fast = max(
             np.sqrt(axial_stiffness(trap, p1) / p1.mass),
             np.sqrt(axial_stiffness(trap, p2) / p2.mass),
         )
+        z_eq = 0.0
+    # a stored sample farther out than this has left the trap (FAULT_ESCAPED)
+    z_limit = trap.z0 + z_eq
     for cfg in controllers:
         omega_fast = max(omega_fast, cfg.center + 0.5 * cfg.bandwidth)
         if cfg.notch is not None:
@@ -365,7 +362,7 @@ def simulate(trap, p1, p2, noise, controllers=(), *, duration, dt, sample_rate,
             pos, vel, p1.mass, p2.mass, u1, u2, kq, coulomb_coupling,
             a1, b1, a2, b2, dt, n_sub, start, 1.0 / sample_rate,
             thermal, det_sigma, det_noise, *kset, hold_force,
-            store_every, out_z1, out_z2, out_v1, out_v2, out_y, out_force,
+            store_every, out_z1, out_z2, out_v1, out_v2, out_y, out_force, z_limit,
         )
         if fault != _kernel.FAULT_NONE:
             fault_at = start + rel
@@ -376,6 +373,9 @@ def simulate(trap, p1, p2, noise, controllers=(), *, duration, dt, sample_rate,
         raise IntegrationFault("particles crossed (z2 <= z1)", (fault_at + 1) / sample_rate)
     if fault == _kernel.FAULT_NONFINITE:
         raise IntegrationFault("non-finite state", (fault_at + 1) / sample_rate)
+    if fault == _kernel.FAULT_ESCAPED:
+        raise IntegrationFault(f"a particle left the trap (|z| > {z_limit:.4g} m)",
+                               (fault_at + 1) / sample_rate)
 
     meta = {
         "format": _FORMAT_VERSION,

@@ -10,6 +10,7 @@ from cotrap.analysis import (
     _average,
     _butter4_sos,
     _hann,
+    _median,
     _segment_ffts,
     _segmentation,
     demodulate,
@@ -207,6 +208,24 @@ class TestFitRPm:
             num, den = a @ a.T, b @ b.T
             v0, v1 = linalg.eigh(num, den)[1][:, 0]
             assert _mixing_ratio(num, den) == pytest.approx(-v1 / v0, rel=1e-12)
+
+    def test_median_is_np_median(self):
+        # fit_r_pm's background level, without np.median's numpy.ma import
+        rng = np.random.default_rng(20)
+        for n in (1, 2, 3, 4, 7, 8, 4097, 4098):
+            for trial in range(6):
+                a = rng.standard_normal(n)
+                if trial == 1:  # ties and zeros of either sign
+                    a = np.round(a) * np.where(rng.random(n) < 0.5, 0.0, 1.0) * -1.0
+                if trial >= 2:  # NaN anywhere, once or more
+                    a[rng.integers(n, size=trial - 1)] = np.nan
+                if trial == 5:
+                    a[:] = np.nan
+                expected = np.median(a)
+                got = _median(a)
+                assert type(got) is type(expected), (n, trial)
+                assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (n, trial)
+                assert np.isnan(got) == np.isnan(a).any(), (n, trial)
 
     def test_unresolved_peaks_rejected(self):
         rng = np.random.default_rng(16)

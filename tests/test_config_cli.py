@@ -343,17 +343,21 @@ class TestCliSimulate:
         assert "fault" in capsys.readouterr().err
 
     def test_runaway_estimate_exit_code(self, tmp_path, capsys):
-        # the loop antidamps without a kernel fault: the mode grows to 1e200 m
-        # and the estimates overflow; no report with NaN or Infinity is written
+        # the loop antidamps: the kernel stops the run at the first stored
+        # sample beyond the trap scale z0 + |z2_eq|, before any overflow, so
+        # no numpy warning is printed and no report is written
         raw = json.loads((CONFIG_DIR / "cooling_sweep.json").read_text())
         del raw["sweep"]
         raw["controllers"][0]["gamma_fb_rad_per_s"] = 20000.0
         raw["run"]["duration_seconds"] = 0.3
         path = write_config(tmp_path, raw)
         out = tmp_path / "x"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
-        assert "estimate 'measured.f_plus_hz' is not finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("runtime fault: integration fault at t = 0.0036 s: "
+                                           "a particle left the trap (|z| > 0.003639 m)\n")
+        assert [str(w.message) for w in caught] == []
         assert not (out / "report.json").exists()
 
     def test_only_estimates_must_be_finite(self):
@@ -488,8 +492,8 @@ class TestCliSweep:
 
 
     def test_faulting_point_same_for_any_worker_count(self, tmp_path):
-        # the gain of 20000 rad/s antidamps until the kernel faults at
-        # t = 0.447 s; that point's error crosses back from its worker
+        # the gain of 20000 rad/s antidamps until a particle leaves the trap
+        # at t = 0.0036 s; that point's error crosses back from its worker
         # process, and the other points' rows are kept
         raw = json.loads((CONFIG_DIR / "cooling_sweep.json").read_text())
         raw["run"]["duration_seconds"] = 1.0
@@ -502,7 +506,8 @@ class TestCliSweep:
         with open(outs[0] / "sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["status"] for r in rows] == ["'ok'", "'failed'", "'ok'"]
-        assert rows[1]["error"].startswith("'IntegrationFault: integration fault at t = 0.44")
+        assert rows[1]["error"] == ("'IntegrationFault: integration fault at t = 0.0036 s: "
+                                    "a particle left the trap (|z| > 0.003639 m)'")
         files = [sorted(p.relative_to(out) for p in out.rglob("*")) for out in outs]
         assert files[0] == files[1] and len(files[0]) > 1
         for name in files[0]:
@@ -561,18 +566,23 @@ class TestCliAnalyze:
     def test_damaged_trajectory_exit_code(self, tmp_path, capsys):
         n = 8
         traj = Trajectory(sample_rate=100.0, z1=np.arange(n) - 1e-5, z2=np.arange(n) + 1e-5,
-                          v1=np.zeros(n), v2=np.ones(n), y=None, forces=np.zeros((0, n)),
-                          meta={"seed": 1})
+                          v1=np.zeros(n), v2=np.full(n, 1.2345678901234568e-05), y=None,
+                          forces=np.zeros((0, n)), meta={"seed": 1})
         traj.to_csv(tmp_path / "good.csv")
         lines = (tmp_path / "good.csv").read_text().splitlines(keepends=True)
         n_header = sum(line.startswith("#") for line in lines) + 1  # plus the names row
         meta = next(i for i, line in enumerate(lines) if line.startswith("# meta = "))
         damaged = {
             "header_only.csv": lines[:n_header],
-            # what a simulate killed while writing leaves behind
+            # what a simulate killed while writing leaves behind: a row that
+            # lost fields, and one that keeps them but whose last value,
+            # 1.2345678901234568e-05, is cut to 1.2345 with no newline
             "cut_row.csv": lines[:-1] + [lines[-1][:len(lines[-1]) // 2]],
+            "cut_value.csv": lines[:-1] + [lines[-1][:lines[-1].rindex(",") + 7]],
             "bad_meta.csv": lines[:meta] + ["# meta = {\"seed\": \n"] + lines[meta + 1:],
             "renamed_column.csv": [line.replace("z1", "q1") for line in lines],
+            # no row of column names: skipping it unread would drop a data row
+            "no_names_row.csv": lines[:n_header - 1] + lines[n_header:],
         }
         for name, text in damaged.items():
             (tmp_path / name).write_text("".join(text))

@@ -252,6 +252,9 @@ class TestKernelParity:
              "non-finite"),
             ("crossing fault", dict(initial_state=(ms.z1_eq, ms.z2_eq, 1e3, -1e3)),
              "crossed"),
+            # both thrown outward at 5 m/s: past z0 + |z2_eq| by the third sample
+            ("escape fault", dict(initial_state=(ms.z1_eq, ms.z2_eq, -5.0, -5.0)),
+             r"left the trap \(\|z\| > 0.003639 m\)"),
         ]
         for name, kw, fault in cases:
             runs = []
@@ -472,6 +475,178 @@ class TestWriterParity:
         for columns in ([], [np.zeros(3), np.zeros(4)], [np.zeros((3, 2))]):
             with pytest.raises(ValueError, match="write_rows: columns"):
                 _kernel.write_rows(io.StringIO(), columns)
+
+
+def assert_same_values(got, expected):
+    """Equal shapes and bits, any NaN matching any NaN."""
+    assert got.dtype == np.float64 and got.shape == expected.shape, (got.shape, expected.shape)
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+
+
+def read_on_both_backends(monkeypatch, read):
+    """read() on the C parser, then on the fallback: its value, or the
+    message of the ValueError or ConfigError it raised."""
+    if shutil.which(_kernel._CC) is None:
+        pytest.skip(f"no C compiler '{_kernel._CC}' on PATH")
+    _kernel._load()
+    outcomes = []
+    for lib in (_kernel._lib, None):
+        with monkeypatch.context() as m:
+            m.setattr(_kernel, "_lib", lib)
+            try:
+                outcomes.append(read())
+            except (ValueError, ConfigError) as exc:
+                outcomes.append(str(exc))
+    return outcomes
+
+
+# a data row of the characterised pair's trajectory.csv, t,z1,z2,v1,v2
+_ROW = ["0.0004", "-5.8855231499830785e-05", "0.00013869306760721712", "-0.01", "0.02"]
+
+
+def _row(v1="-0.01", sep=",", end="\n"):
+    return sep.join(_ROW[:3] + [v1] + _ROW[4:]) + end
+
+
+# data rows after the names row, and the v1 read from the first row, or
+# None where the file is damaged
+READER_CASES = [
+    (_row("0x1p3"), None),  # a hex float, which strtod reads
+    (_row("0x10"), None),
+    (_row("nan(1)"), None),  # which strtod reads too
+    (_row("nan()"), None),
+    (_row("infinity"), np.inf),
+    (_row("-Infinity"), -np.inf),
+    (_row("INF"), np.inf),
+    (_row("NaN"), np.nan),
+    (_row("-nan"), np.nan),
+    (_row("+1.5"), 1.5),
+    (_row(".5"), 0.5),
+    (_row("5."), 5.0),
+    (_row("007"), 7.0),
+    (_row("1E5"), 1e5),
+    (_row("1e999"), np.inf),
+    (_row("-1e-400"), -0.0),
+    (_row("2.4703282292062328e-324"), 5e-324),  # rounds up to the smallest subnormal
+    (_row(" 1.5"), None),
+    (_row("1.5 "), None),
+    (_row("\t1.5"), None),
+    (_row("1.5\t"), None),
+    (_row("1e"), None),
+    (_row("e5"), None),
+    (_row("."), None),
+    (_row("-"), None),
+    (_row("1.5.2"), None),
+    (_row("1_000"), None),
+    (_row("inf inity"), None),
+    (_row("\u0661"), None),  # an Arabic-Indic digit one
+    (_row(""), None),  # 1,,2
+    (_row("1,,2"), None),
+    (_row(end=",\n"), None),  # a trailing comma
+    (_row() + "\n" + _row(), None),  # a blank line
+    (_row(end="\r\n"), None),
+    (_row() + "# a comment\n" + _row(), None),
+    (_row(sep=", "), None),
+    (",".join(_ROW[:4]) + "\n", None),  # a short row
+    (",".join(_ROW + ["1.0"]) + "\n", None),  # a long row
+    (_row() + _row(end=""), None),  # the last row cut short
+    ("", None),  # no data rows
+]
+
+
+class TestReaderParity:
+    """_kernel.read_rows reads what np.loadtxt reads from the writer's text,
+    and both backends accept and reject the same rows with the same error."""
+
+    @pytest.mark.parametrize("backend", ["c", "python"])
+    def test_matches_loadtxt(self, monkeypatch, tmp_path, backend):
+        if backend == "c" and shutil.which(_kernel._CC) is None:
+            pytest.skip(f"no C compiler '{_kernel._CC}' on PATH")
+        if backend == "python":
+            fail_the_build(monkeypatch, tmp_path)
+        values = writer_inputs()
+        cases = [
+            [values, values[::-1], np.roll(values, 11)],
+            [values[:0], values[:0]],
+            [values[:1]],
+            [values[i : i + 3000] for i in range(5)],
+        ]
+        for columns in cases:
+            text = io.StringIO()
+            np.savetxt(text, np.column_stack(columns), fmt="%.17g", delimiter=",")
+            data = text.getvalue().encode()
+            expected = (np.loadtxt(io.StringIO(text.getvalue()), delimiter=",", ndmin=2)
+                        if data else np.empty((0, len(columns))))
+            # 126 bytes hold the longest 5-value row, 125 bytes and a newline;
+            # small buffers split rows and numbers at every offset
+            for buffer_bytes in (_kernel._READ_BUFFER_BYTES, 126, 127, 1009):
+                monkeypatch.setattr(_kernel, "_READ_BUFFER_BYTES", buffer_bytes)
+                got = _kernel.read_rows(io.BytesIO(data), len(columns))
+                assert_same_values(got, expected)
+                path = tmp_path / "rows.csv"
+                path.write_bytes(b"a,b\n" + data)
+                with open(path, "rb") as fh:
+                    fh.readline()
+                    assert_same_values(_kernel.read_rows(fh, len(columns)), expected)
+        assert _kernel.BACKEND == backend
+
+    def test_tokens_and_layouts(self, monkeypatch, tmp_path):
+        n = 1
+        traj = Trajectory(sample_rate=2500.0, z1=np.zeros(n), z2=np.ones(n), v1=np.zeros(n),
+                          v2=np.zeros(n), y=None, forces=np.zeros((0, n)), meta={"seed": 1})
+        traj.to_csv(tmp_path / "good.csv")
+        lines = (tmp_path / "good.csv").read_bytes().splitlines(keepends=True)
+        head = b"".join(lines[:-1])  # the # lines and the names row
+        for i, (rows, v1) in enumerate(READER_CASES):
+            path = tmp_path / f"case{i}.csv"
+            path.write_bytes(head + rows.encode())
+            c, python = read_on_both_backends(monkeypatch, lambda: Trajectory.from_csv(path))
+            if v1 is None:
+                assert isinstance(c, str) and "damaged trajectory file" in c, (rows, c)
+                assert python == c, rows
+                continue
+            assert isinstance(c, Trajectory), (rows, c)
+            expected = np.array([float(x) for x in _ROW[1:]])
+            expected[2] = v1
+            for back in (c, python):
+                assert_same_values(np.array([back.z1[0], back.z2[0], back.v1[0], back.v2[0]]),
+                                   expected)
+
+    def test_bad_column_count_raises(self, monkeypatch):
+        for n_cols in (0, -1):
+            c, python = read_on_both_backends(
+                monkeypatch, lambda: _kernel.read_rows(io.BytesIO(b"1.5\n"), n_cols))
+            assert c == python == f"read_rows: n_cols must be at least 1, got {n_cols}"
+
+    def test_row_longer_than_the_buffer(self, monkeypatch):
+        # a row fits when it is at most _READ_BUFFER_BYTES with its newline;
+        # leading zeros pad one to any length
+        monkeypatch.setattr(_kernel, "_READ_BUFFER_BYTES", 64)
+        good = "1.5,2.5,3.5\n"
+
+        def row(length, end="\n"):
+            return "0" * (length - 11) + "1.5,2.5,3.5" + end
+
+        cases = [
+            (good + row(63) + good, 3),
+            (good + row(64) + good, "data row 2 does not fit in 64 bytes"),
+            (good + row(200), "data row 2 does not fit in 64 bytes"),
+            (good + row(63, end=""), "data row 2 has no newline: the file is cut short"),
+            (good + row(64, end=""), "data row 2 does not fit in 64 bytes"),
+            (row(10000) + "x", "data row 1 does not fit in 64 bytes"),
+            ("1.5,2.5\n" + row(200), "data row 1 is not 3 comma-separated numbers"),
+        ]
+        for text, outcome in cases:
+            c, python = read_on_both_backends(
+                monkeypatch, lambda: _kernel.read_rows(io.BytesIO(text.encode()), 3))
+            if isinstance(outcome, str):
+                assert c == python == outcome, text
+            else:
+                assert c.shape == (outcome, 3)
+                assert_same_values(python, c)
+                assert np.all(c == [1.5, 2.5, 3.5])
 
 
 class TestOfflineControllerPath:

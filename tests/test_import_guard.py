@@ -1,6 +1,7 @@
 """What a fresh interpreter loads: numpy is the only runtime dependency, so
 neither `import cotrap` with a config nor a run loads any scipy module, and a
-run with scipy made unimportable still fits the mixing ratios."""
+run with scipy made unimportable still fits the mixing ratios.  Nor does a
+run load numpy.ma, which np.median would import."""
 
 import json
 import os
@@ -68,11 +69,13 @@ def test_simulate_and_analyze_load_no_scipy(tmp_path):
         modules = loaded_modules(tmp_path, "simulate", "--config", str(cfg), "--out", str(run))
         assert (run / made).exists(), name
         assert scipy_modules(modules) == [], name
+        assert "numpy.ma" not in modules, name
         analyzed = tmp_path / Path(name).stem / "analyzed"
         modules = loaded_modules(tmp_path, "analyze", str(run / "trajectory.csv"),
                                  "--out", str(analyzed))
         assert (analyzed / "psd_particle1.csv").exists(), name
         assert scipy_modules(modules) == [], name
+        assert "numpy.ma" not in modules, name
 
 
 def test_mixing_fit_runs_with_scipy_blocked(tmp_path):
