@@ -182,34 +182,191 @@ void cotrap_sosfilt(const double *sos, int64_t n_sections, double *state,
     }
 }
 
+/* The exact %.17g formatter below needs 128-bit integers; a compiler
+ * without them leaves every finite non-zero value to snprintf. */
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+/* The powers of ten 10^q for q in [POW10_MIN, POW10_MAX], as _kernel.py
+ * passes them: pow10[2 * (q - POW10_MIN)] and the word after it are the
+ * high and low 64 bits of floor(10^q * 2^(127 - floor(log2 10^q))), a
+ * 128-bit number with its top bit set.  Only q = 0..55 are exact. */
+#define POW10_MIN (-292)
+#define POW10_MAX 342
+
+#define TEN16 10000000000000000ULL
+#define TEN17 100000000000000000ULL
+
+/* floor(v * mul / 2^shift), for v of either sign.  (v * 78913) >> 18 is
+ * floor(v log10 2) for |v| < 1100 and (v * 1741647) >> 19 is
+ * floor(v log2 10) for |v| < 400, which covers every exponent used here. */
+static int floor_mul_shift(int v, int64_t mul, int shift)
+{
+    int64_t p = (int64_t)v * mul;
+    return (int)(p >= 0 ? p >> shift : -((-p + ((int64_t)1 << shift) - 1) >> shift));
+}
+#endif
+
+/* Writes the %.17g text of v to out, without a terminating NUL, and
+ * returns its length (at most 24), or returns 0, writing nothing that
+ * counts, when it cannot prove how v rounds to 17 digits; the caller then
+ * asks snprintf.  NaN of either sign is "nan", as numpy prints it.
+ *
+ * A finite non-zero v = m * 2^e (m of 53 bits) has 17 significant digits
+ * N = round(v * 10^q), q = 16 - E, E = floor(log10 |v|).  The product of m
+ * and the truncated 128-bit 10^q is 181 bits; its top bits are N and the
+ * rest the fraction.  The truncation makes the product smaller than the
+ * exact one by less than m units of the fraction, so the rounding is
+ * decided unless the fraction lies in (1/2 - m, 1/2]; an exact tie, which
+ * needs round-half-even, falls there.  A fraction within m of 1 may hide a
+ * carry into N + 1, which rounds to N + 1 all the same.  After Adams,
+ * "Ryu revisited: printf floating point conversion" (OOPSLA 2019). */
+int cotrap_format_g17(double v, const uint64_t *pow10, char *out)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    char *p = out;
+    if (isnan(v)) {
+        memcpy(p, "nan", 3);
+        return 3;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    uint64_t m = bits & ((1ULL << 52) - 1);
+    int e = (int)(bits >> 52 & 0x7FF);
+    if (e == 0x7FF) {
+        memcpy(p, "inf", 3);
+        return (int)(p + 3 - out);
+    }
+    if (e == 0 && m == 0) {
+        *p++ = '0';
+        return (int)(p - out);
+    }
+#ifdef __SIZEOF_INT128__
+    if (e == 0) { /* subnormal: shift m up to 53 bits */
+        e = -1074;
+        while (!(m >> 52)) {
+            m <<= 1;
+            e--;
+        }
+    } else {
+        m |= 1ULL << 52;
+        e -= 1075;
+    }
+    /* 2^(e + 52) <= |v| < 2^(e + 53), so E is this or one more */
+    int exp10 = floor_mul_shift(e + 52, 78913, 18); /* floor(log10 2^(e+52)) */
+    uint64_t n;
+    for (;;) {
+        int q = 16 - exp10;
+        if (q < POW10_MIN || q > POW10_MAX)
+            return 0;
+        const uint64_t *t = pow10 + 2 * (q - POW10_MIN);
+        u128 lo = (u128)m * t[1];
+        u128 hi = (u128)m * t[0] + (uint64_t)(lo >> 64);
+        /* the product is hi * 2^64 + (uint64_t)lo = v * 10^q * 2^sh, and
+         * 10^16 <= N < 10^18 puts sh in (64, 128) */
+        int sh = 127 - floor_mul_shift(q, 1741647, 19) - e; /* floor(log2 10^q) */
+        if (sh <= 64 || sh >= 128)
+            return 0;
+        u128 top = hi >> (sh - 64);
+        if (top >= TEN17) { /* E was one more */
+            exp10++;
+            continue;
+        }
+        if (top < TEN16) /* truncation hid a carry into 10^16 */
+            return 0;
+        n = (uint64_t)top;
+        u128 rest = (hi & (((u128)1 << (sh - 64)) - 1)) << 64 | (uint64_t)lo;
+        u128 half = (u128)1 << (sh - 1);
+        if (rest + m <= half) /* below one half */
+            break;
+        if (rest > half) { /* above one half */
+            if (++n == TEN17) {
+                n = TEN16;
+                exp10++;
+            }
+            break;
+        }
+        return 0;
+    }
+    char d[17];
+    for (int i = 16; i >= 0; i--) {
+        d[i] = (char)('0' + n % 10);
+        n /= 10;
+    }
+    int nd = 17; /* significant digits left after the trailing zeros */
+    while (d[nd - 1] == '0')
+        nd--;
+    if (exp10 >= 17 || exp10 < -4) { /* d.ddde+XX */
+        *p++ = d[0];
+        if (nd > 1) {
+            *p++ = '.';
+            memcpy(p, d + 1, (size_t)(nd - 1));
+            p += nd - 1;
+        }
+        *p++ = 'e';
+        *p++ = exp10 < 0 ? '-' : '+';
+        int x = exp10 < 0 ? -exp10 : exp10;
+        if (x >= 100) {
+            *p++ = (char)('0' + x / 100);
+            x %= 100;
+        }
+        *p++ = (char)('0' + x / 10);
+        *p++ = (char)('0' + x % 10);
+    } else if (exp10 >= 0) { /* ddd.ddd */
+        memcpy(p, d, (size_t)(exp10 + 1));
+        p += exp10 + 1;
+        if (nd > exp10 + 1) {
+            *p++ = '.';
+            memcpy(p, d + exp10 + 1, (size_t)(nd - exp10 - 1));
+            p += nd - exp10 - 1;
+        }
+    } else { /* 0.000ddd */
+        *p++ = '0';
+        *p++ = '.';
+        for (int i = -1; i > exp10; i--)
+            *p++ = '0';
+        memcpy(p, d, (size_t)nd);
+        p += nd;
+    }
+    return (int)(p - out);
+#else
+    (void)pow10;
+    return 0;
+#endif
+}
+
 /* Formats rows [r0, r1) of the n_cols float64 columns cols[c] as text, the
  * bytes np.savetxt(fmt="%.17g", delimiter=",") writes: each value as
- * %.17g, a comma between values and a newline after each row.  Every NaN
- * prints as "nan", as numpy prints it, where glibc would print "-nan" for
- * one with the sign bit set.  Numbers are formatted in the "C" locale
- * whatever the process locale is.  Writes into buf of size bytes and
- * returns the byte count, or -1 if buf is too small (its contents are
- * then undefined); 25 bytes per value always suffice. */
+ * %.17g, a comma between values and a newline after each row.  Each value
+ * goes through cotrap_format_g17 with the table pow10, and the few it
+ * cannot decide through snprintf in the "C" locale, whatever the process
+ * locale is; a call makes that locale only when it meets such a value.
+ * Writes into buf of size bytes and returns the byte count, or -1 if
+ * fewer than 25 bytes are left for a value (the contents of buf are then
+ * undefined) or there is no "C" locale; 25 bytes per value always
+ * suffice. */
 int64_t cotrap_format_rows(const double *const *cols, int64_t n_cols,
-                           int64_t r0, int64_t r1, char *buf, int64_t size)
+                           int64_t r0, int64_t r1, const uint64_t *pow10,
+                           char *buf, int64_t size)
 {
-    locale_t c_locale = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
-    if (c_locale == (locale_t)0)
-        return -1;
-    locale_t caller = uselocale(c_locale);
+    locale_t c_locale = (locale_t)0, caller = (locale_t)0;
     char *p = buf;
     int64_t len = -1;
     for (int64_t r = r0; r < r1; r++) {
         for (int64_t c = 0; c < n_cols; c++) {
             double v = cols[c][r];
             int64_t room = size - (p - buf);
-            int n;
-            if (isnan(v)) {
-                n = 3;
-                if (room <= n)
-                    goto done;
-                memcpy(p, "nan", 3);
-            } else {
+            if (room < 25)
+                goto done;
+            int n = cotrap_format_g17(v, pow10, p);
+            if (n == 0) {
+                if (c_locale == (locale_t)0) {
+                    c_locale = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
+                    if (c_locale == (locale_t)0)
+                        goto done;
+                    caller = uselocale(c_locale);
+                }
                 n = snprintf(p, (size_t)room, "%.17g", v);
                 if (n < 0 || n >= room) /* the separator takes the NUL's byte */
                     goto done;
@@ -220,8 +377,10 @@ int64_t cotrap_format_rows(const double *const *cols, int64_t n_cols,
     }
     len = p - buf;
 done:
-    uselocale(caller);
-    freelocale(c_locale);
+    if (c_locale != (locale_t)0) {
+        uselocale(caller);
+        freelocale(c_locale);
+    }
     return len;
 }
 

@@ -56,6 +56,7 @@ _CACHE_DIR = Path(__file__).with_name("__pycache__")
 BACKEND = None  # "c" or "python", set by the first call of any of the four
 BUILD_ERROR = None  # why the C kernel did not load, when BACKEND is "python"
 _lib = None  # the loaded C library, None when BACKEND is "python"
+_POW10 = None  # cotrap_format_g17's table of powers of ten, made with _lib
 
 # write_rows formats this many rows per C call into one reused buffer of
 # _VALUE_BYTES per value: the longest %.17g, -1.2345678901234567e-308, is
@@ -284,15 +285,16 @@ _C_ARGTYPES = [{"P": ctypes.c_void_p, "D": ctypes.c_double, "I": ctypes.c_int64}
 
 
 def _load():
-    """Build or reuse the compiled kernel and set BACKEND, BUILD_ERROR and _lib."""
-    global BACKEND, BUILD_ERROR, _lib
+    """Build or reuse the compiled kernel and set BACKEND, BUILD_ERROR, _lib
+    and _POW10."""
+    global BACKEND, BUILD_ERROR, _lib, _POW10
     try:
         path = _library_path()
         if not path.exists():
             _build(path)
         lib = ctypes.CDLL(str(path))
         fn, filt, fmt = lib.cotrap_run_block, lib.cotrap_sosfilt, lib.cotrap_format_rows
-        parse = lib.cotrap_parse_rows
+        parse, g17 = lib.cotrap_parse_rows, lib.cotrap_format_g17
     except OSError as exc:  # no compiler, a failed compile, an unwritable cache, a bad file
         BACKEND, BUILD_ERROR, _lib = "python", str(exc), None
         return
@@ -302,12 +304,21 @@ def _load():
                      ctypes.c_int64]
     filt.restype = None
     fmt.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                    ctypes.c_void_p, ctypes.c_int64]
+                    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
     fmt.restype = ctypes.c_int64
+    g17.argtypes = [ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p]
+    g17.restype = ctypes.c_int
     parse.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
                       ctypes.c_int64, ctypes.c_void_p]
     parse.restype = ctypes.c_int64
-    BACKEND, BUILD_ERROR, _lib = "c", None, lib
+    # floor(10^q * 2^(127 - floor(log2 10^q))) for q in [-292, 342] as
+    # (high, low) 64-bit words: the top 128 bits of 10^q * 2^1200, exact integers
+    words = []
+    for q in range(-292, 343):
+        x = 10**q << 1200 if q >= 0 else (1 << 1200) // 10**-q
+        t = x >> (x.bit_length() - 128)
+        words += [t >> 64, t & (2**64 - 1)]
+    BACKEND, BUILD_ERROR, _lib, _POW10 = "c", None, lib, np.array(words, dtype=np.uint64)
 
 
 def _buffer(name, a, dtype, shape, writes=False, caller="run_block"):
@@ -426,8 +437,10 @@ def write_rows(fh, columns):
     """write_rows_python(fh, columns), formatted in C unless the C build failed.
 
     The C formatter writes the same bytes as np.savetxt, NaN of either sign
-    as "nan" included.  It streams _WRITE_CHUNK_ROWS rows at a time through
-    one reused buffer, so the text of the whole file is never in memory.
+    as "nan" included: an exact 128-bit conversion for all but the few
+    values whose rounding it cannot prove, and snprintf for those.  It
+    streams _WRITE_CHUNK_ROWS rows at a time through one reused buffer, so
+    the text of the whole file is never in memory.
     columns must be one or more 1-D arrays of one length, converted to
     float64; anything else raises ValueError, whichever backend runs.
     """
@@ -446,7 +459,7 @@ def write_rows(fh, columns):
     buf = ctypes.create_string_buffer(size)
     for r0 in range(0, n_rows, _WRITE_CHUNK_ROWS):
         n = _lib.cotrap_format_rows(pointers, n_cols, r0, min(r0 + _WRITE_CHUNK_ROWS, n_rows),
-                                    buf, size)
+                                    _POW10.ctypes.data, buf, size)
         if n < 0:  # a full buffer, which _VALUE_BYTES rules out, or no "C" locale
             raise RuntimeError(f"write_rows: formatting rows from {r0} failed")
         fh.write(ctypes.string_at(buf, n).decode("ascii"))

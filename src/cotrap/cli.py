@@ -183,13 +183,23 @@ def _sweep_row(value, report, error=None):
     return row
 
 
-def _sweep_point(value, future):
-    """sweep.csv row of one point from its finished future."""
+def _sweep_point(value, rundir, future):
+    """sweep.csv row of one point from its finished future.
+
+    An exception that is not a CotrapError is a bug: its traceback, the
+    worker's frames included, goes to stderr and to rundir/traceback.txt.
+    """
     try:
         return _sweep_row(value, future.result())
     except Exception as exc:  # a failed point must not lose the finished rows
         if not isinstance(exc, CotrapError):
-            traceback.print_exception(exc, file=sys.stderr)
+            text = "".join(traceback.format_exception(exc))
+            sys.stderr.write(text)
+            try:
+                rundir.mkdir(parents=True, exist_ok=True)
+                (rundir / "traceback.txt").write_text(text)
+            except OSError as err:
+                print(f"cannot keep the traceback in {rundir}: {err}", file=sys.stderr)
         return _sweep_row(value, None, error=exc)
 
 
@@ -211,7 +221,8 @@ def cmd_sweep(args):
     # workers at the first submit
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         futures = [pool.submit(_sweep_one, *job) for job in jobs]
-        rows = [_sweep_point(value, fut) for value, fut in zip(values, futures)]
+        rows = [_sweep_point(value, rundir, fut)
+                for (_, _, value, rundir), fut in zip(jobs, futures)]
     failures = sum(row["status"] != "ok" for row in rows)
     columns = ["value", "status"]
     for row in rows:

@@ -31,7 +31,10 @@ __all__ = [
     "simulate",
 ]
 
+# the thermal noise of one kernel call: at most this many samples and this
+# many bytes, but never less than one sample
 _BLOCK_SAMPLES = 65536
+_BLOCK_BYTES = 1 << 25
 _FORMAT_VERSION = 1
 
 
@@ -336,7 +339,8 @@ def simulate(trap, p1, p2, noise, controllers=(), *, duration, dt, sample_rate,
         out_force = np.empty((len(controllers), n_stored))
     except (ValueError, MemoryError):  # numpy's dimension limit, or no memory
         raise ConfigError(too_long) from None
-    block = min(_BLOCK_SAMPLES, n_samples)
+    # the generator fills blocks in draw order, so their size leaves the numbers unchanged
+    block = max(1, min(_BLOCK_SAMPLES, n_samples, _BLOCK_BYTES // (16 * n_sub)))
     try:  # one thermal noise block, refilled for every kernel call
         thermal_block = np.empty((block, n_sub, 2))
     except (ValueError, MemoryError):
@@ -352,7 +356,7 @@ def simulate(trap, p1, p2, noise, controllers=(), *, duration, dt, sample_rate,
     fault_at = -1
     start = 0
     while start < n_samples:
-        nb = min(_BLOCK_SAMPLES, n_samples - start)
+        nb = min(block, n_samples - start)
         thermal = thermal_gen.standard_normal(out=thermal_block[:nb])
         if det_gen is not None:
             det_noise = det_gen.standard_normal(nb)

@@ -186,6 +186,14 @@ def _wrap_phase(phi):
     return (phi + math.pi) % (2.0 * math.pi) - math.pi
 
 
+def _calibration_error(cfg, h_c):
+    return ConfigError(
+        f"the filter chain passes {abs(h_c):.3g} of the {cfg.target_mode} mode at "
+        f"{cfg.center:.4g} rad/s, which cannot calibrate the gain; the mode "
+        f"frequencies come from {_MODE_KEYS}"
+    )
+
+
 def _resolve(cfg):
     """Sections, delay and calibrated gain realizing the configured physics.
 
@@ -197,7 +205,10 @@ def _resolve(cfg):
     sections = _sections(cfg)
     fs = cfg.sample_rate
     ts = 1.0 / fs
-    h_c = complex(chain_response(sections, cfg.center, fs))
+    with np.errstate(invalid="ignore"):  # 0/0 at a near-zero frequency, rejected below
+        h_c = complex(chain_response(sections, cfg.center, fs))
+    if not math.isfinite(abs(h_c)):
+        raise _calibration_error(cfg, h_c)
     zoh_gain = float(np.sinc(cfg.center * ts / (2.0 * math.pi)))
     # the loop gain at the carrier, which the output gain divides out
     loop_gain = cfg.mode_projection**2 * abs(h_c) * zoh_gain
@@ -235,11 +246,7 @@ def _resolve(cfg):
         info.update(delay_samples=0, lo_omega=lo_omega, lo_phase=lo_phase)
     gain = force / loop_gain if loop_gain != 0.0 else math.inf
     if not math.isfinite(gain):
-        raise ConfigError(
-            f"the filter chain passes {abs(h_c):.3g} of the {cfg.target_mode} mode at "
-            f"{cfg.center:.4g} rad/s, too little to calibrate the gain; the mode "
-            f"frequencies come from {_MODE_KEYS}"
-        )
+        raise _calibration_error(cfg, h_c)
     return sections, delay, gain, lo_omega, lo_phase, info
 
 

@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import json
 import math
+import multiprocessing
 import warnings
 from pathlib import Path
 
@@ -391,6 +392,8 @@ class TestCliSimulate:
         # nHz modes: the filter chain passes nothing at the carrier
         ("squeezing.json", ("trap", "z0_meters"), 3.5e9, 0.3, ["controllers[0]", "z0_meters"]),
         ("cooling_sweep.json", ("trap", "z0_meters"), 3.5e9, 0.3, ["controllers[0]", "z0_meters"]),
+        # 1e-45 rad/s modes: the chain's response is 0/0, once a raw ValueError
+        ("cooling_sweep.json", ("trap", "kappa"), 1.5e-96, 0.3, ["controllers[0]", "kappa"]),
     ])
     def test_out_of_range_at_run_time_exit_code(self, tmp_path, capsys, name, key, value,
                                                  seconds, quoted):
@@ -406,8 +409,9 @@ class TestCliSimulate:
             warnings.simplefilter("always")
             code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
         assert code == 2
-        # nHz modes overlap the bandpass, but a rejected chain does not warn
-        assert not [w for w in caught if "overlaps" in str(w.message)]
+        # nHz modes overlap the bandpass, but a rejected chain does not warn,
+        # and numpy does not warn of the 0/0 either
+        assert not [str(w.message) for w in caught]
         err = capsys.readouterr().err
         for key_name in quoted:
             assert f"'{key_name}'" in err, key_name
@@ -512,6 +516,49 @@ class TestCliSweep:
         assert files[0] == files[1] and len(files[0]) > 1
         for name in files[0]:
             if (outs[0] / name).is_file():
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_crashed_point_keeps_its_traceback(self, tmp_path, monkeypatch, capsys):
+        # a bug in one point, an exception that is not a CotrapError: its
+        # traceback, the worker's frames included, goes to that point's
+        # directory and to stderr, and the other points run as before.
+        # Forked workers inherit the patched run_experiment.
+        run_experiment = cli.run_experiment
+
+        def buggy_at_2_kelvin(cfg):
+            if cfg.noise.t0 == 2.0:
+                raise RuntimeError("a bug at 2 K")
+            return run_experiment(cfg)
+
+        pool = concurrent.futures.ProcessPoolExecutor
+        fork = multiprocessing.get_context("fork")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda max_workers: pool(max_workers, mp_context=fork))
+        monkeypatch.setattr(cli, "run_experiment", buggy_at_2_kelvin)
+        raw = base_config()
+        raw["run"]["duration_seconds"] = 1.0
+        raw["sweep"] = {"parameter": "noise.t0_kelvin", "values": [1.0, 2.0, 3.0]}
+        path = write_config(tmp_path, raw)
+        outs = [tmp_path / f"workers{w}" for w in (1, 2)]
+        for w, out in zip((1, 2), outs):
+            assert main(["sweep", "--config", str(path), "--workers", str(w),
+                         "--out", str(out)]) == 4
+            with open(out / "sweep.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [r["status"] for r in rows] == ["'ok'", "'failed'", "'ok'"]
+            assert rows[1]["error"] == "'RuntimeError: a bug at 2 K'"
+            text = (out / "run_001" / "traceback.txt").read_text()
+            assert "in buggy_at_2_kelvin" in text and text.endswith("RuntimeError: a bug at 2 K\n")
+            assert text in capsys.readouterr().err
+            assert sorted(p.name for p in (out / "run_001").iterdir()) == ["traceback.txt"]
+            for ok in ("run_000", "run_002"):
+                assert (out / ok / "report.json").exists()
+                assert not (out / ok / "traceback.txt").exists()
+        # the parent's frames of a traceback depend on when the point ended
+        files = [sorted(p.relative_to(out) for p in out.rglob("*")) for out in outs]
+        assert files[0] == files[1]
+        for name in files[0]:
+            if (outs[0] / name).is_file() and name.name != "traceback.txt":
                 assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_workers_below_one_rejected(self, tmp_path, capsys):

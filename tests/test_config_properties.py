@@ -2,13 +2,16 @@
 
 Any leaf or section of a shipped config may be replaced by an arbitrary
 JSON value.  parse_config must then either return or raise ConfigError.
-Whatever it accepts must survive serialize -> parse unchanged, and the
-steps before integration (mode structure, stability parameters and
-controller design) must either succeed or raise a CotrapError.
+Whatever it accepts must survive serialize -> parse unchanged, the steps
+before integration (mode structure, stability parameters and controller
+design) must either succeed or raise a CotrapError, and the run itself,
+cut short, must either give a report whose every number is finite or
+raise a CotrapError.
 """
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 
 from cotrap.config import parse_config, serialize_config
 from cotrap.errors import ConfigError, CotrapError
-from cotrap.report import resolve_controllers
+from cotrap.report import resolve_controllers, run_experiment
 from cotrap.trap import mode_structure, stability_params
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -46,6 +49,61 @@ JSON_VALUES = st.recursive(
 
 PAIR = "characterised_pair.json"
 
+# the run is cut to at most this many controller samples and substeps in
+# all; a cut config is itself one that parses, so the property holds for it
+CUT_SAMPLES = 2000
+CUT_SUBSTEPS = 10**6
+
+
+def _numbers(node):
+    """Every int and float in a report, at any depth."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for child in node:
+            yield from _numbers(child)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield node
+
+
+def _leaf(raw, path):
+    for key in path:
+        raw = raw[key]
+    return raw
+
+
+def _mutated(target, value):
+    """The named config with the leaf or section at path set to value."""
+    name, path = target
+    raw = copy.deepcopy(CONFIGS[name])
+    _leaf(raw, path[:-1])[path[-1]] = value
+    return raw
+
+
+def _parses_and_runs_or_raises(raw):
+    try:
+        cfg = parse_config(raw)
+    except ConfigError:
+        return
+    text = serialize_config(cfg)
+    assert serialize_config(parse_config(json.loads(text))) == text
+    try:
+        resolve_controllers(cfg, mode_structure(cfg.trap, *cfg.particles))
+        for particle in cfg.particles:
+            stability_params(cfg.trap, particle)
+    except CotrapError:
+        pass
+    run = cfg.run
+    run.substeps = min(run.substeps, CUT_SUBSTEPS)
+    samples = max(1, min(CUT_SAMPLES, CUT_SUBSTEPS // run.substeps))
+    run.duration = min(run.duration, samples / run.sample_rate)
+    try:
+        report = run_experiment(cfg).report
+    except CotrapError:
+        return
+    bad = [x for x in _numbers(report) if not math.isfinite(x)]
+    assert not bad, report
+
 
 @settings(max_examples=400, deadline=None)
 @given(target=st.sampled_from(TARGETS), value=JSON_VALUES)
@@ -65,21 +123,25 @@ PAIR = "characterised_pair.json"
 # a wide bandpass only warns
 @pytest.mark.filterwarnings("ignore:bandpass overlaps the untargeted mode")
 def test_mutated_config_parses_or_raises_config_error(target, value):
-    name, path = target
-    raw = copy.deepcopy(CONFIGS[name])
-    node = raw
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-    try:
-        cfg = parse_config(raw)
-    except ConfigError:
-        return
-    text = serialize_config(cfg)
-    assert serialize_config(parse_config(json.loads(text))) == text
-    try:
-        resolve_controllers(cfg, mode_structure(cfg.trap, *cfg.particles))
-        for particle in cfg.particles:
-            stability_params(cfg.trap, particle)
-    except CotrapError:
-        pass
+    _parses_and_runs_or_raises(_mutated(target, value))
+
+
+# every numeric leaf, and the factors of the run-time fuzz that found the
+# OverflowError, ZeroDivisionError and runaway cases above
+NUMERIC = [t for t in TARGETS if type(_leaf(CONFIGS[t[0]], t[1])) in (int, float)]
+FACTORS = [0.0, 1e-300, 1e-12, 1e-3, 0.5, 2.0, 1e3, 1e12, 1e300, -1.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(target=st.sampled_from(NUMERIC),
+       factor=st.sampled_from(FACTORS) | st.floats(-1e3, 1e3))
+# once a raw ValueError: the damper's filter chain gave NaN at a near-zero
+# mode frequency
+@example(target=("cooling_sweep.json", ("trap", "kappa")), factor=2.1092816832334743e-95)
+@pytest.mark.filterwarnings("ignore:bandpass overlaps the untargeted mode")
+def test_scaled_config_runs_or_raises_cotrap_error(target, factor):
+    leaf = _leaf(CONFIGS[target[0]], target[1])
+    value = leaf * factor
+    if type(leaf) is int and math.isfinite(value):
+        value = int(value)
+    _parses_and_runs_or_raises(_mutated(target, value))

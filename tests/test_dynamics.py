@@ -1,5 +1,6 @@
 """Integrator correctness: determinism, thermal statistics, faults."""
 
+import ctypes
 import io
 import os
 import shutil
@@ -400,6 +401,16 @@ class TestKernelBuild:
         files = list(cache.iterdir())
         assert len(files) == 1 and files[0].suffix == ".so", files
 
+    # the second build is that of a compiler without unsigned __int128
+    @pytest.mark.parametrize("flags", [[], ["-U__SIZEOF_INT128__"]])
+    def test_compiles_without_warnings(self, tmp_path, flags):
+        if shutil.which(_kernel._CC) is None:
+            pytest.skip(f"no C compiler '{_kernel._CC}' on PATH")
+        cmd = [_kernel._CC, *_kernel._CFLAGS, "-Wall", "-Wextra", "-Werror", *flags,
+               "-o", str(tmp_path / "kernel.so"), str(_kernel._SOURCE), "-lm"]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_build_removes_stale_libraries(self, monkeypatch, tmp_path):
         if shutil.which(_kernel._CC) is None:
             pytest.skip(f"no C compiler '{_kernel._CC}' on PATH")
@@ -418,30 +429,75 @@ class TestKernelBuild:
 
 
 def writer_inputs():
-    """Edge values, then random 64-bit patterns, as one float64 vector."""
+    """Edge values, values at the exact formatter's boundaries, then random
+    64-bit patterns, as one float64 vector."""
     fi = np.finfo(np.float64)
     nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
                      0xFFF0000000000001, 0x7FF4000000000000, 0xFFFFFFFFFFFFFFFF],
                     dtype=np.uint64).view(np.float64)  # either sign, with payloads
-    around = [np.nextafter(x, toward) for x in (1e16, 1e17) for toward in (0.0, np.inf)]
+    around = [np.nextafter(x, toward) for x in (1e-5, 1e-4, 1e16, 1e17)
+              for toward in (0.0, np.inf)]
     edges = np.concatenate([[0.0, -0.0, np.inf, -np.inf, fi.max, -fi.max, fi.tiny, -fi.tiny,
                              fi.smallest_subnormal, -fi.smallest_subnormal, 2.5e-320,
                              -1.2345678901234567e-308, 1e16, 1e17, 1e-4, 1e-5, 0.1,
-                             2.0**-25],  # 2.98023223876953125e-08: a tie at the 17th digit
+                             2.0**-25,  # 2.98023223876953125e-08: a tie at the 17th digit
+                             # exact ties at the 17th digit, which round half to even
+                             1000000000000000.25, 1000000000000000.75, 1000000000000001.25,
+                             # 17 nines, which parse to the power of ten above them
+                             99999999999999999.0, 9.9999999999999999e-5],
                             around, nans])
+    # 3 ulp either side of every power of ten, 1e-323 to 1e308; 28 of the
+    # values below a power round to 17 digits that carry into it
+    ulps = np.arange(-3, 4, dtype=np.int64)
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    tens = (tens.view(np.int64)[:, None] + ulps).ravel().view(np.float64)
+    tens = tens[tens > 0]  # 1e-323 less 3 ulp
+    # the least value and three random ones in every binade, 2^-1074 to 2^1023
+    rng = np.random.default_rng(9)
+    lead = np.uint64(1) << np.arange(52, dtype=np.uint64)[:, None]  # subnormals
+    subnormal = lead | np.concatenate([np.zeros((52, 1), dtype=np.uint64), rng.integers(
+        0, lead, (52, 3), dtype=np.uint64)], axis=1)
+    exponents = np.arange(1, 2047, dtype=np.uint64)[:, None] << np.uint64(52)
+    normal = exponents | np.concatenate([np.zeros((2046, 1), dtype=np.uint64), rng.integers(
+        0, 2**52, (2046, 3), dtype=np.uint64)], axis=1)
+    binades = np.concatenate([subnormal.ravel(), normal.ravel()]).view(np.float64)
     bits = np.random.default_rng(8).integers(0, 2**64, 30000, dtype=np.uint64, endpoint=False)
-    return np.concatenate([edges, -edges, bits.view(np.float64)])
+    boundaries = np.concatenate([edges, tens, binades])
+    return np.concatenate([boundaries, -boundaries, bits.view(np.float64)])
+
+
+def build_without_int128(monkeypatch, tmp_path):
+    """Make the next kernel call build _kernel.c as a compiler without
+    unsigned __int128 would, which leaves every value to snprintf."""
+    monkeypatch.setattr(_kernel, "_CFLAGS", _kernel._CFLAGS + ("-U__SIZEOF_INT128__",))
+    monkeypatch.setattr(_kernel, "_CACHE_DIR", tmp_path)
+    monkeypatch.setattr(_kernel, "BACKEND", None)
+    monkeypatch.setattr(_kernel, "_lib", None)
+
+
+def assert_same_text(got, expected):
+    """got == expected, failing with the first line that differs rather
+    than a diff of the whole text."""
+    if got != expected:
+        lines = zip(got.splitlines(), expected.splitlines())
+        first = next((i for i, (a, b) in enumerate(lines) if a != b), None)
+        if first is None:
+            pytest.fail(f"{len(got)} characters written, {len(expected)} expected")
+        pytest.fail(f"line {first + 1}: {got.splitlines()[first]!r} written, "
+                    f"{expected.splitlines()[first]!r} expected")
 
 
 class TestWriterParity:
     """write_columns writes the bytes of np.savetxt(fmt="%.17g", delimiter=",")."""
 
-    @pytest.mark.parametrize("backend", ["c", "python"])
+    @pytest.mark.parametrize("backend", ["c", "c-without-int128", "python"])
     def test_matches_savetxt(self, monkeypatch, tmp_path, backend):
-        if backend == "c" and shutil.which(_kernel._CC) is None:
+        if backend != "python" and shutil.which(_kernel._CC) is None:
             pytest.skip(f"no C compiler '{_kernel._CC}' on PATH")
         if backend == "python":
             fail_the_build(monkeypatch, tmp_path)
+        if backend == "c-without-int128":
+            build_without_int128(monkeypatch, tmp_path)
         values = writer_inputs()
         chunk = _kernel._WRITE_CHUNK_ROWS
         cases = [
@@ -458,15 +514,38 @@ class TestWriterParity:
             np.savetxt(expected, np.column_stack(columns), fmt="%.17g", delimiter=",")
             got = io.StringIO()
             dynamics.write_columns(got, names, columns)
-            assert got.getvalue() == expected.getvalue(), len(columns[0])
+            assert_same_text(got.getvalue(), expected.getvalue())
         # real text files, as Trajectory.to_csv and the CLI writers open them
         with open(tmp_path / "savetxt.csv", "w") as fh:
             fh.write("a,b,c\n")
             np.savetxt(fh, np.column_stack(cases[0]), fmt="%.17g", delimiter=",")
         with open(tmp_path / "written.csv", "w") as fh:
             dynamics.write_columns(fh, ["a", "b", "c"], cases[0])
-        assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
-        assert _kernel.BACKEND == backend
+        assert_same_text((tmp_path / "written.csv").read_bytes(),
+                         (tmp_path / "savetxt.csv").read_bytes())
+        assert _kernel.BACKEND == backend.split("-")[0]
+
+    def test_exact_path_decides_trajectory_values(self):
+        if shutil.which(_kernel._CC) is None:
+            pytest.skip(f"no C compiler '{_kernel._CC}' on PATH")
+        _kernel._load()
+        rng = np.random.default_rng(4)
+        # times, positions, velocities and forces of a run, and short decimals
+        values = np.concatenate([np.arange(1, 2001) / 5000.0, rng.standard_normal(2000) * 1e-7,
+                                 rng.standard_normal(2000) * 1e-4,
+                                 rng.standard_normal(2000) * 1e-17,
+                                 np.round(rng.uniform(-100, 100, 2000), 3)])
+        buf = ctypes.create_string_buffer(32)
+
+        def exact(v):
+            n = _kernel._lib.cotrap_format_g17(v, _kernel._POW10.ctypes.data, buf)
+            return buf.raw[:n].decode()
+
+        for v in values:
+            assert exact(v) == "%.17g" % v, v  # the fast path, not snprintf
+        # exact ties need round-half-even, which the fast path leaves to snprintf
+        for v in (1000000000000000.25, 1000000000000000.75, 2.0**-25):
+            assert exact(v) == "", v
 
     @pytest.mark.parametrize("backend", ["c", "python"])
     def test_bad_columns_raise(self, monkeypatch, tmp_path, backend):
@@ -676,6 +755,22 @@ class TestOfflineControllerPath:
             with monkeypatch.context() as m:
                 m.setattr(dynamics, "_BLOCK_SAMPLES", 333)
                 split = closed_loop(paper_trap, controllers, store_every=store_every)
+            assert_same_run(whole, split)
+
+    def test_noise_byte_budget_splits_the_blocks_only(self, paper_trap, monkeypatch):
+        controllers = controller_sets(paper_trap)["damper+squeezer"]
+        whole = closed_loop(paper_trap, controllers, store_every=2)
+        n_samples, n_sub = 2 * whole.z1.shape[0], whole.meta["n_substeps"]
+        run_block = _kernel.run_block
+        # a budget short of 333 samples, and one short of a single sample
+        for budget, samples in ((16 * n_sub * 333 + 15, 333), (1, 1)):
+            blocks = []
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "_BLOCK_BYTES", budget)
+                m.setattr(_kernel, "run_block",
+                          lambda *a: blocks.append(a[16].shape[0]) or run_block(*a))
+                split = closed_loop(paper_trap, controllers, store_every=2)
+            assert max(blocks) == samples and sum(blocks) == n_samples
             assert_same_run(whole, split)
 
 
