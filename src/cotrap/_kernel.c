@@ -182,8 +182,9 @@ void cotrap_sosfilt(const double *sos, int64_t n_sections, double *state,
     }
 }
 
-/* The exact %.17g formatter below needs 128-bit integers; a compiler
- * without them leaves every finite non-zero value to snprintf. */
+/* The exact %.17g formatter and decimal parser below need 128-bit
+ * integers; a compiler without them leaves every finite non-zero value to
+ * snprintf and every number to strtod. */
 #ifdef __SIZEOF_INT128__
 typedef unsigned __int128 u128;
 
@@ -400,23 +401,141 @@ static int number_char(char c)
     }
 }
 
+/* Reads the decimal number at s, an optional sign, digits with an optional
+ * "." among or before them and an optional exponent, stores its correctly
+ * rounded value in *out and returns its length, or returns 0, storing
+ * nothing, when it cannot decide the token; the caller then asks strtod.
+ * The token must end at a character that is not a number_char, as a
+ * comma, a newline or a NUL does; it is left undecided when the
+ * character after it is one ("inf", "1.5.2", "1e"), when it has more
+ * than 19 significant digits, or when 10^q, q its decimal exponent, is
+ * outside the table pow10 of cotrap_format_g17.
+ *
+ * The value w * 10^q, w the digits as an integer, is w shifted up to 64
+ * bits times the truncated 128-bit 10^q: a 192-bit product P whose top 53
+ * bits are the significand and whose rest decides the rounding.  The
+ * truncation makes P smaller than the exact product by less than the
+ * shifted w, so the rounding is decided unless the rest lies within it
+ * below one half.  For q in [0, 55] the table is exact, and there an
+ * exact tie rounds half to even.  An overflowing result is left
+ * undecided too; the least value the table admits, 10^-292, is far above
+ * the subnormals below 2^-1022.  After Lemire,
+ * "Number parsing at a gigabyte per second" (Software: Practice and
+ * Experience, 2021). */
+int64_t cotrap_parse_decimal(const char *s, const uint64_t *pow10, double *out)
+{
+#ifdef __SIZEOF_INT128__
+    const char *p = s;
+    int neg = *p == '-';
+    if (*p == '+' || *p == '-')
+        p++;
+    uint64_t w = 0;
+    int64_t q = 0;
+    int digits = 0, any = 0; /* significant digits, digits of any kind */
+    while (*p == '0') {
+        p++;
+        any = 1;
+    }
+    for (; *p >= '0' && *p <= '9'; p++) {
+        if (++digits > 19)
+            return 0;
+        w = 10 * w + (uint64_t)(*p - '0');
+    }
+    if (*p == '.') {
+        p++;
+        if (digits == 0)
+            for (; *p == '0'; p++) {
+                q--;
+                any = 1;
+            }
+        for (; *p >= '0' && *p <= '9'; p++) {
+            if (++digits > 19)
+                return 0;
+            w = 10 * w + (uint64_t)(*p - '0');
+            q--;
+        }
+    }
+    if (!(any || digits))
+        return 0;
+    if (*p == 'e' || *p == 'E') {
+        const char *x = p + 1;
+        int x_neg = *x == '-';
+        if (*x == '+' || *x == '-')
+            x++;
+        if (!(*x >= '0' && *x <= '9'))
+            return 0;
+        int64_t e10 = 0;
+        for (; *x >= '0' && *x <= '9'; x++)
+            if (e10 < 100000000000000000) /* 10^17: more than the digits before */
+                e10 = 10 * e10 + (*x - '0');
+        q += x_neg ? -e10 : e10;
+        p = x;
+    }
+    if (number_char(*p))
+        return 0;
+    uint64_t bits = (uint64_t)neg << 63;
+    if (w != 0) {
+        if (q < POW10_MIN || q > POW10_MAX)
+            return 0;
+        const uint64_t *t = pow10 + 2 * (q - POW10_MIN);
+        int lz = __builtin_clzll(w);
+        uint64_t wn = w << lz;
+        u128 lo = (u128)wn * t[1];
+        u128 hi = (u128)wn * t[0] + (uint64_t)(lo >> 64);
+        /* P = hi * 2^64 + (uint64_t)lo, with its top bit at 190 or 191;
+         * the significand is its top 53 bits, the rest below bit k */
+        int top = (int)(hi >> 127);
+        int k = 138 + top;
+        uint64_t m = (uint64_t)(hi >> (k - 64));
+        u128 rest_hi = hi & (((u128)1 << (k - 64)) - 1);
+        u128 half_hi = (u128)1 << (k - 65); /* one half is half_hi * 2^64 */
+        uint64_t rest_lo = (uint64_t)lo;
+        if (rest_hi > half_hi || (rest_hi == half_hi && rest_lo != 0)) {
+            m++; /* above one half */
+        } else if (q >= 0 && q <= 55) { /* P is exact */
+            if (rest_hi == half_hi) /* a tie, to even */
+                m += m & 1;
+        } else if (!(rest_hi + 1 < half_hi || (rest_hi + 1 == half_hi && rest_lo <= -wn))) {
+            return 0; /* within wn below one half */
+        }
+        /* 2^e2 <= |value| < 2^(e2 + 1); floor(q log2 10) as in cotrap_format_g17 */
+        int e2 = 63 + top - lz + floor_mul_shift((int)q, 1741647, 19);
+        if (m >> 53) { /* rounded up to the next power of two */
+            m >>= 1;
+            e2++;
+        }
+        if (e2 > 1023) /* overflow; no q in the table gives a subnormal */
+            return 0;
+        bits |= (uint64_t)(e2 + 1023) << 52 | (m & ((1ULL << 52) - 1));
+    }
+    memcpy(out, &bits, sizeof bits);
+    return p - s;
+#else
+    (void)s;
+    (void)pow10;
+    (void)out;
+    return 0;
+#endif
+}
+
 /* Parses the complete rows at the start of buf[0, len): each row is n_cols
  * numbers separated by commas and ended by a newline, and each number is
  * what strtod reads in the "C" locale, except hex floats, "nan(...)" and
  * white space around it.  Stores the rows row-major into out, at most
  * max_rows of them, and *consumed = the bytes they take.  A last row with
- * no newline is left unread.  Returns the number of rows stored, or
- * -1 - r when row r (counted from 0) is not n_cols numbers, *consumed then
- * being the offset of that row, or INT64_MIN when there is no "C" locale. */
+ * no newline is left unread.  Each number goes through
+ * cotrap_parse_decimal with the table pow10, and the few it cannot decide
+ * through strtod_l in the "C" locale, which a call makes only when it
+ * meets such a number.  Returns the number of rows stored, or -1 - r when
+ * row r (counted from 0) is not n_cols numbers, *consumed then being the
+ * offset of that row, or INT64_MIN when there is no "C" locale. */
 int64_t cotrap_parse_rows(const char *buf, int64_t len, int64_t n_cols,
-                          double *out, int64_t max_rows, int64_t *consumed)
+                          const uint64_t *pow10, double *out, int64_t max_rows,
+                          int64_t *consumed)
 {
-    locale_t c_locale = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
-    *consumed = 0;
-    if (c_locale == (locale_t)0)
-        return INT64_MIN;
+    locale_t c_locale = (locale_t)0;
     const char *row = buf, *stop = buf + len;
-    int64_t r = 0;
+    int64_t r = 0, ret;
     for (; r < max_rows; r++) {
         const char *eol = memchr(row, '\n', (size_t)(stop - row));
         if (eol == NULL)
@@ -427,23 +546,38 @@ int64_t cotrap_parse_rows(const char *buf, int64_t len, int64_t n_cols,
              * starts only on a character of a number */
             if (!number_char(*p))
                 goto bad;
-            char *end;
-            double v = strtod_l(p, &end, c_locale);
-            for (const char *q = p; q < end; q++)
-                if (!number_char(*q))
+            double v;
+            const char *end = p + cotrap_parse_decimal(p, pow10, &v);
+            if (end == p) {
+                if (c_locale == (locale_t)0) {
+                    c_locale = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
+                    if (c_locale == (locale_t)0) {
+                        ret = INT64_MIN;
+                        goto done;
+                    }
+                }
+                char *e;
+                v = strtod_l(p, &e, c_locale);
+                for (end = p; end < e; end++)
+                    if (!number_char(*end))
+                        goto bad;
+                if (end == p)
                     goto bad;
-            if (end == p || *end != (c + 1 < n_cols ? ',' : '\n'))
+            }
+            if (*end != (c + 1 < n_cols ? ',' : '\n'))
                 goto bad;
             out[n_cols * r + c] = v;
             p = end + 1;
         }
         row = eol + 1;
     }
-    freelocale(c_locale);
-    *consumed = row - buf;
-    return r;
+    ret = r;
+    goto done;
 bad:
-    freelocale(c_locale);
+    ret = -1 - r;
+done:
+    if (c_locale != (locale_t)0)
+        freelocale(c_locale);
     *consumed = row - buf;
-    return -1 - r;
+    return ret;
 }

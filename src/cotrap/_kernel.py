@@ -56,7 +56,7 @@ _CACHE_DIR = Path(__file__).with_name("__pycache__")
 BACKEND = None  # "c" or "python", set by the first call of any of the four
 BUILD_ERROR = None  # why the C kernel did not load, when BACKEND is "python"
 _lib = None  # the loaded C library, None when BACKEND is "python"
-_POW10 = None  # cotrap_format_g17's table of powers of ten, made with _lib
+_POW10 = None  # the table of powers of ten of the exact writer and reader, made with _lib
 
 # write_rows formats this many rows per C call into one reused buffer of
 # _VALUE_BYTES per value: the longest %.17g, -1.2345678901234567e-308, is
@@ -295,6 +295,7 @@ def _load():
         lib = ctypes.CDLL(str(path))
         fn, filt, fmt = lib.cotrap_run_block, lib.cotrap_sosfilt, lib.cotrap_format_rows
         parse, g17 = lib.cotrap_parse_rows, lib.cotrap_format_g17
+        decimal = lib.cotrap_parse_decimal
     except OSError as exc:  # no compiler, a failed compile, an unwritable cache, a bad file
         BACKEND, BUILD_ERROR, _lib = "python", str(exc), None
         return
@@ -308,8 +309,10 @@ def _load():
     fmt.restype = ctypes.c_int64
     g17.argtypes = [ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p]
     g17.restype = ctypes.c_int
+    decimal.argtypes = [ctypes.c_char_p, ctypes.c_void_p, ctypes.c_void_p]
+    decimal.restype = ctypes.c_int64
     parse.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
-                      ctypes.c_int64, ctypes.c_void_p]
+                      ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
     parse.restype = ctypes.c_int64
     # floor(10^q * 2^(127 - floor(log2 10^q))) for q in [-292, 342] as
     # (high, low) 64-bit words: the top 128 bits of 10^q * 2^1200, exact integers
@@ -514,13 +517,16 @@ def read_rows_python(fh, n_cols):
 def read_rows(fh, n_cols):
     """read_rows_python(fh, n_cols), parsed in C unless the C build failed.
 
-    The C parser reads each number with the C library's strtod in the "C"
-    locale, which rounds correctly, as np.loadtxt does, and rejects what
-    read_rows_python rejects, with the same ValueError.  It reads fh
-    through one reused buffer of _READ_BUFFER_BYTES into an array sized for
-    the most rows the rest of the file can hold, two bytes per value, whose
-    untouched pages never become resident, and shrinks it in place at the
-    end.  The text of the whole file is never in memory.
+    The C parser reads each plain decimal in one pass with an exact 128-bit
+    conversion, on the writer's table of powers of ten, and hands the few
+    numbers whose rounding it cannot prove, and inf and nan, to the C
+    library's strtod in the "C" locale.  Both round correctly, as
+    np.loadtxt does.  It rejects what read_rows_python rejects, with the
+    same ValueError.  It reads fh through one reused buffer of
+    _READ_BUFFER_BYTES into an array sized for the most rows the rest of
+    the file can hold, two bytes per value, whose untouched pages never
+    become resident, and shrinks it in place at the end.  The text of the
+    whole file is never in memory.
     """
     if BACKEND is None:
         _load()
@@ -542,7 +548,7 @@ def read_rows(fh, n_cols):
         bound = n_rows + end // (2 * n_cols)
         if bound > out.shape[0]:  # more than the file held when it was opened
             out.resize((max(bound, 2 * out.shape[0]), n_cols), refcheck=False)
-        rows = _lib.cotrap_parse_rows(buf.ctypes.data, end, n_cols,
+        rows = _lib.cotrap_parse_rows(buf.ctypes.data, end, n_cols, _POW10.ctypes.data,
                                       out.ctypes.data + out.itemsize * n_cols * n_rows,
                                       out.shape[0] - n_rows, ctypes.byref(consumed))
         if rows == _NO_LOCALE:

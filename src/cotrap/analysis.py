@@ -461,6 +461,21 @@ def _correlation_time(x, sample_rate):
     return tau / sample_rate
 
 
+def _steady(quads):
+    """quads.steady(), or AnalysisError when too few samples are left."""
+    x, y = quads.steady()
+    if len(x) < 16:
+        raise AnalysisError("too few quadrature samples after filter settling")
+    return x, y
+
+
+def steady_variance(quads):
+    """Mean variance of the steady X and Y quadratures: of a drive-off run,
+    the reference_variance of squeezing_db."""
+    x, y = _steady(quads)
+    return 0.5 * (np.var(x) + np.var(y))
+
+
 def squeezing_db(quads, reference_variance, correlation_time=None):
     """Squeezing of the least-noisy quadrature relative to a thermal reference.
 
@@ -472,9 +487,7 @@ def squeezing_db(quads, reference_variance, correlation_time=None):
     """
     if reference_variance <= 0:
         raise AnalysisError("reference_variance must be > 0")
-    x, y = quads.steady()
-    if len(x) < 16:
-        raise AnalysisError("too few quadrature samples after filter settling")
+    x, y = _steady(quads)
     cov = np.cov(np.vstack([x, y]))
     evals, evecs = np.linalg.eigh(cov)
     v_min, v_max = float(evals[0]), float(evals[1])

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import analysis as ana
 from .constants import K_B
 from .dynamics import simulate
@@ -255,9 +253,7 @@ def analyze_trajectory(traj, modes, p1, p2, settings, controllers=(),
                                   mode_separation=split, gamma0=gamma0)
             q_off = ana.demodulate(trace_off, omega_t, bw, fs,
                                    mode_separation=split, gamma0=gamma0)
-            x0, y0 = q_off.steady()
-            ref_var = 0.5 * (np.var(x0) + np.var(y0))
-            res = ana.squeezing_db(q_on, ref_var, correlation_time=corr_time)
+            res = ana.squeezing_db(q_on, ana.steady_variance(q_off), correlation_time=corr_time)
             quads[name] = (q_on, q_off)
             report["squeezing"][name] = {
                 "db": entry(res.db, res.sigma_db),

@@ -361,6 +361,20 @@ class TestCliSimulate:
         assert [str(w.message) for w in caught] == []
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("seconds", [0.4, 0.4236])
+    def test_too_short_to_settle_exit_code(self, tmp_path, capsys, seconds):
+        # the demodulation filter leaves no steady quadrature sample of the
+        # 0.4 s run and one of the 0.4236 s run, whose variance is 0
+        raw = json.loads((CONFIG_DIR / "squeezing.json").read_text())
+        raw["run"]["duration_seconds"] = seconds
+        path = write_config(tmp_path, raw)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr().err == ("runtime fault: too few quadrature samples after "
+                                           "filter settling\n")
+        assert [str(w.message) for w in caught] == []
+
     def test_only_estimates_must_be_finite(self):
         # an exact entry may be infinite: g = G / G_th is inf when gamma0 = 0
         _require_finite({"controllers": [{"g": {"value": math.inf, "exact": True}}]})

@@ -1,8 +1,10 @@
 """Integrator correctness: determinism, thermal statistics, faults."""
 
 import ctypes
+import functools
 import io
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -475,6 +477,17 @@ def build_without_int128(monkeypatch, tmp_path):
     monkeypatch.setattr(_kernel, "_lib", None)
 
 
+def use_backend(monkeypatch, tmp_path, backend):
+    """Make the next kernel call load backend: "c", "c-without-int128" or
+    "python"; a C backend is skipped where there is no compiler."""
+    if backend != "python" and shutil.which(_kernel._CC) is None:
+        pytest.skip(f"no C compiler '{_kernel._CC}' on PATH")
+    if backend == "python":
+        fail_the_build(monkeypatch, tmp_path)
+    if backend == "c-without-int128":
+        build_without_int128(monkeypatch, tmp_path)
+
+
 def assert_same_text(got, expected):
     """got == expected, failing with the first line that differs rather
     than a diff of the whole text."""
@@ -492,12 +505,7 @@ class TestWriterParity:
 
     @pytest.mark.parametrize("backend", ["c", "c-without-int128", "python"])
     def test_matches_savetxt(self, monkeypatch, tmp_path, backend):
-        if backend != "python" and shutil.which(_kernel._CC) is None:
-            pytest.skip(f"no C compiler '{_kernel._CC}' on PATH")
-        if backend == "python":
-            fail_the_build(monkeypatch, tmp_path)
-        if backend == "c-without-int128":
-            build_without_int128(monkeypatch, tmp_path)
+        use_backend(monkeypatch, tmp_path, backend)
         values = writer_inputs()
         chunk = _kernel._WRITE_CHUNK_ROWS
         cases = [
@@ -635,16 +643,53 @@ READER_CASES = [
 ]
 
 
+@functools.cache
+def reader_corpus():
+    """Numbers as text at the exact reader's boundaries, in rows of five,
+    and the array np.loadtxt reads from them."""
+    tokens = []
+    rng = random.Random(10)
+    for n in (19, 20, 25):  # mantissas with a point anywhere, at any exponent
+        for _ in range(1000):
+            digits = str(rng.randrange(10**(n - 1), 10**n))
+            point = rng.randrange(n + 1)
+            tokens.append(f"{digits[:point]}.{digits[point:]}e{rng.randrange(-345, 330)}")
+    tokens += ["00001.5000", "0.000000000000000000000000000001234", "-000.000", "0e0", "-0",
+               "0.0e-99999", "000000000000000000000000001", "1.0000000000000000000000000",
+               "100000000000000000000", "1234567890123456789000e-3", ".5", "5.", "-5.e3",
+               "0.00000000000000000000012345678901234567890", "1e0000000000000000000000005"]
+    for q in (-293, -292, -291, 341, 342, 343):  # the ends of the table of 10^q
+        for w in ("1", "5", "1234567890123456789", "9999999999999999999"):
+            tokens += [f"{w}e{q}", f"{w[0]}.{w[1:]}e{q + len(w) - 1}"]
+    # subnormals, the least normal and the largest values, and overflow
+    tokens += ["4.9e-324", "5e-324", "2.4703282292062328e-324", "2.4703282292062327e-324",
+               "1e-400", "2.2250738585072011e-308", "2.2250738585072014e-308",
+               "2.225073858507201e-308", "1.7976931348623157e308", "1.7976931348623158e308",
+               "1.7976931348623159e308", "1e400", "1e1000", "1e99999", "1e100001",
+               "1e-1000", "1e-99999", "1e-100001", "1e-2147483649",
+               f"1e{2**64 + 5}",  # an exponent that wraps to 5 in 64 bits
+               # an exponent of 1.3e6 that 130001 digits after the point cannot offset
+               "0." + "0" * 130000 + "1e1300000"]
+    # exact binary ties: q = 0, q < 0, and k * 5^q of 54 bits times 2^q for q in [1, 23]
+    tokens += ["9007199254740993", "9007199254740995", "4503599627370496.5",
+               "4503599627370497.5"]
+    tokens += [f"{(2**53 // 5**q + 1) | 1}e{q}" for q in range(1, 24)]
+    tokens += ["-" + t for t in tokens if not t.startswith("-")]
+    values = writer_inputs()  # either sign already
+    tokens += [repr(float(v)) for v in values]
+    tokens += ["%.*g" % (digits, v) for digits in range(1, 20) for v in values]
+    tokens += ["0"] * (-len(tokens) % 5)
+    text = "".join(",".join(tokens[i : i + 5]) + "\n" for i in range(0, len(tokens), 5))
+    return text, np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
+
+
 class TestReaderParity:
     """_kernel.read_rows reads what np.loadtxt reads from the writer's text,
     and both backends accept and reject the same rows with the same error."""
 
-    @pytest.mark.parametrize("backend", ["c", "python"])
+    @pytest.mark.parametrize("backend", ["c", "c-without-int128", "python"])
     def test_matches_loadtxt(self, monkeypatch, tmp_path, backend):
-        if backend == "c" and shutil.which(_kernel._CC) is None:
-            pytest.skip(f"no C compiler '{_kernel._CC}' on PATH")
-        if backend == "python":
-            fail_the_build(monkeypatch, tmp_path)
+        use_backend(monkeypatch, tmp_path, backend)
         values = writer_inputs()
         cases = [
             [values, values[::-1], np.roll(values, 11)],
@@ -669,7 +714,50 @@ class TestReaderParity:
                 with open(path, "rb") as fh:
                     fh.readline()
                     assert_same_values(_kernel.read_rows(fh, len(columns)), expected)
-        assert _kernel.BACKEND == backend
+        assert _kernel.BACKEND == backend.split("-")[0]
+
+    @pytest.mark.parametrize("backend", ["c", "c-without-int128", "python"])
+    def test_token_corpus_matches_loadtxt(self, monkeypatch, tmp_path, backend):
+        use_backend(monkeypatch, tmp_path, backend)
+        text, expected = reader_corpus()
+        assert_same_values(_kernel.read_rows(io.BytesIO(text.encode()), 5), expected)
+        assert _kernel.BACKEND == backend.split("-")[0]
+
+    def test_fast_path_decides_trajectory_tokens(self, paper_trap, ref_pair):
+        if shutil.which(_kernel._CC) is None:
+            pytest.skip(f"no C compiler '{_kernel._CC}' on PATH")
+        _kernel._load()
+        traj = run(paper_trap, ref_pair, gamma0=28.0, duration=2.0, seed=10)
+        text = io.StringIO()
+        dynamics.write_columns(text, ["t", "z1", "z2", "v1", "v2"],
+                               [traj.t, traj.z1, traj.z2, traj.v1, traj.v2])
+        rng = np.random.default_rng(4)
+        forces = rng.standard_normal(2000) * 1e-17
+        tokens = text.getvalue().replace("\n", ",").split(",")[5:-1]
+        tokens += ["%.17g" % v for v in forces] + ["00001.5000", ".5", "5.", "-0"]
+        value = ctypes.c_double()
+
+        def fast(token):
+            """The fast path's value for token, or None when it leaves it to strtod."""
+            n = _kernel._lib.cotrap_parse_decimal(token.encode(), _kernel._POW10.ctypes.data,
+                                                  ctypes.byref(value))
+            assert n in (0, len(token)), token
+            return value.value if n else None
+
+        for token in tokens:
+            got = fast(token)
+            assert got is not None, token  # decided without strtod
+            assert_same_values(np.array([got]), np.array([float(token)]))
+        # an exact tie with 10^q exact, q in [0, 55], rounds half to even
+        assert fast("9007199254740993") == 9007199254740992.0
+        assert fast("360287970189641e2") == 36028797018964096.0  # 9007199254741025 * 4
+        # an exact tie with q < 0 and a subnormal are left to strtod
+        for token in ("4503599627370496.5", "4.9e-324", "2.2250738585072011e-308"):
+            assert fast(token) is None, token
+        # and so are tokens it does not read whole, too many digits and q off the table
+        for token in ("1.5.2", "1e", "1e+", "inf", "-nan", ".", "-", "12345678901234567890",
+                      "1e-293", "1e343", "1e309"):
+            assert fast(token) is None, token
 
     def test_tokens_and_layouts(self, monkeypatch, tmp_path):
         n = 1
