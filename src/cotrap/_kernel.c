@@ -10,9 +10,12 @@
  * in; nothing here re-checks.
  *
  * Arrays are C-contiguous: thermal is (n_samples, n_sub, 2), sos is
- * (n_sections, 5) in run_block and (n_sections, 6) in sosfilt, sos_state
- * (n_sections, 2), dly_buf (n_ctrl, dly_cols) and out_force
- * (n_ctrl, n_stored).  Integer arrays are int64.
+ * (n_sections, 5), one row b0 b1 b2 a1 a2 per section in both loops,
+ * sos_state (n_sections, 2), dly_buf (n_ctrl, dly_cols) and out_force
+ * (n_ctrl, n_stored).  Integer arrays are int64.  cotrap_run_block takes
+ * the fields of the Python controller set, ctrl, as separate pointers, in
+ * the order _c_args passes them; _C_FUNCTIONS in _kernel.py declares the
+ * types of every exported function.
  */
 
 #define _GNU_SOURCE /* newlocale, uselocale, strtod_l */
@@ -31,13 +34,13 @@
 
 #define KIND_SQUEEZER 1
 
-/* One transposed-direct-form-II biquad step: b = (b0, b1, b2), a = (a1, a2),
- * st its two state slots.  The order is scipy.signal's _sosfilt. */
-static double biquad(const double *b, const double *a, double *st, double u)
+/* One transposed-direct-form-II biquad step of the section sec = b0 b1 b2
+ * a1 a2, st its two state slots.  The order is scipy.signal's _sosfilt. */
+static double biquad(const double *sec, double *st, double u)
 {
-    double out = b[0] * u + st[0];
-    st[0] = b[1] * u - a[0] * out + st[1];
-    st[1] = b[2] * u - a[1] * out;
+    double out = sec[0] * u + st[0];
+    st[0] = sec[1] * u - sec[3] * out + st[1];
+    st[1] = sec[2] * u - sec[4] * out;
     return out;
 }
 
@@ -50,7 +53,7 @@ static double controller_step(
 {
     double u = y;
     for (int64_t s = sos_off[c]; s < sos_off[c + 1]; s++)
-        u = biquad(sos + 5 * s, sos + 5 * s + 3, sos_state + 2 * s, u);
+        u = biquad(sos + 5 * s, sos_state + 2 * s, u);
     /* ring buffer: write, advance, read oldest = u[n - delay] */
     double *buf = dly_buf + dly_cols * c;
     buf[dly_pos[c]] = u;
@@ -168,16 +171,15 @@ int64_t cotrap_run_block(
     return fault;
 }
 
-/* Filters x in place through n_sections biquads in scipy.signal's layout,
- * sos (n_sections, 6) = b0 b1 b2 a0 a1 a2 with a0 = 1, starting from state
- * (n_sections, 2), which it updates. */
+/* Filters x in place through the n_sections biquads sos, starting from
+ * state (n_sections, 2), which it updates. */
 void cotrap_sosfilt(const double *sos, int64_t n_sections, double *state,
                     double *x, int64_t n_samples)
 {
     for (int64_t i = 0; i < n_samples; i++) {
         double u = x[i];
         for (int64_t s = 0; s < n_sections; s++)
-            u = biquad(sos + 6 * s, sos + 6 * s + 4, state + 2 * s, u);
+            u = biquad(sos + 5 * s, state + 2 * s, u);
         x[i] = u;
     }
 }

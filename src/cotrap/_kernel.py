@@ -11,14 +11,18 @@ the references the C port matches bit for bit (byte for byte for the text,
 and with the same errors for the reader).  BACKEND and BUILD_ERROR record
 which one runs and why.
 
-Controller state layout (one row / slot per controller):
-  sos[s, :]      biquad coefficients b0, b1, b2, a1, a2 (a0 normalized out)
+Controller state is one argument, ctrl, a KernelControllerSet, with one row
+or slot per controller; only _c_args orders its fields, for cotrap_run_block:
+  sos[s, :]      biquad b0, b1, b2, a1, a2 (a0 = 1 left out), as sosfilt takes it
   sos_off[c]     first section index of controller c (sos_off[-1] = total)
   sos_state[s]   transposed-direct-form-II state (2 per section)
   dly_buf[c, :]  ring buffer; dly_len[c] = delay + 1 slots; dly_pos[c] cursor
   kind[c]        0 = velocity damper (delayed output), 1 = parametric
                  squeezer (filtered output mixed with a 2-omega oscillator)
   gain_n_per_m   output force per meter of processed signal, newtons
+  lo_omega, lo_phase, force_limit, sat_count: the oscillator, the actuator
+                 limit and the count of samples clipped to it
+  hold_force[c]  the force controller c holds over the current sample
 """
 
 import ctypes
@@ -32,6 +36,7 @@ import subprocess
 import sysconfig
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,65 +75,69 @@ _VALUE_BYTES = 25
 _READ_BUFFER_BYTES = 1 << 17
 
 
-def controller_step(y, t, c, kind, sos, sos_off, sos_state, dly_buf, dly_len,
-                    dly_pos, gain_n_per_m, lo_omega, lo_phase, force_limit,
-                    sat_count):
-    """Process one measurement sample through controller c; returns the force."""
+class KernelControllerSet(NamedTuple):
+    """The state of every controller, laid out as in the module docstring."""
+
+    kind: np.ndarray
+    sos: np.ndarray
+    sos_off: np.ndarray
+    sos_state: np.ndarray
+    dly_buf: np.ndarray
+    dly_len: np.ndarray
+    dly_pos: np.ndarray
+    gain_n_per_m: np.ndarray
+    lo_omega: np.ndarray
+    lo_phase: np.ndarray
+    force_limit: np.ndarray
+    sat_count: np.ndarray
+    hold_force: np.ndarray
+
+    def reset(self):
+        self.sos_state[:] = 0.0
+        self.dly_buf[:] = 0.0
+        self.dly_pos[:] = 0
+        self.sat_count[:] = 0
+        self.hold_force[:] = 0.0
+
+
+def biquad(sec, st, u):
+    """One transposed-direct-form-II step of the section sec = (b0, b1, b2,
+    a1, a2) with its two state slots st, in the order of scipy.signal's
+    _sosfilt; returns the output."""
+    out = sec[0] * u + st[0]
+    st[0] = sec[1] * u - sec[3] * out + st[1]
+    st[1] = sec[2] * u - sec[4] * out
+    return out
+
+
+def controller_step(y, t, c, ctrl):
+    """Process one measurement sample through controller c of ctrl; returns the force."""
     u = y
-    for s in range(sos_off[c], sos_off[c + 1]):
-        b0 = sos[s, 0]
-        b1 = sos[s, 1]
-        b2 = sos[s, 2]
-        a1 = sos[s, 3]
-        a2 = sos[s, 4]
-        out = b0 * u + sos_state[s, 0]
-        sos_state[s, 0] = b1 * u - a1 * out + sos_state[s, 1]
-        sos_state[s, 1] = b2 * u - a2 * out
-        u = out
+    for s in range(ctrl.sos_off[c], ctrl.sos_off[c + 1]):
+        u = biquad(ctrl.sos[s], ctrl.sos_state[s], u)
     # ring buffer: write, advance, read oldest = u[n - delay]
-    dly_buf[c, dly_pos[c]] = u
-    dly_pos[c] = (dly_pos[c] + 1) % dly_len[c]
-    u_sel = dly_buf[c, dly_pos[c]]
-    if kind[c] == KIND_SQUEEZER:
-        u_sel = u_sel * np.sin(lo_omega[c] * t + lo_phase[c])
-    f = gain_n_per_m[c] * u_sel
-    if f > force_limit[c]:
-        f = force_limit[c]
-        sat_count[c] += 1
-    elif f < -force_limit[c]:
-        f = -force_limit[c]
-        sat_count[c] += 1
+    pos = ctrl.dly_pos
+    ctrl.dly_buf[c, pos[c]] = u
+    pos[c] = (pos[c] + 1) % ctrl.dly_len[c]
+    u_sel = ctrl.dly_buf[c, pos[c]]
+    if ctrl.kind[c] == KIND_SQUEEZER:
+        u_sel = u_sel * np.sin(ctrl.lo_omega[c] * t + ctrl.lo_phase[c])
+    f = ctrl.gain_n_per_m[c] * u_sel
+    limit = ctrl.force_limit[c]
+    if f > limit:
+        f = limit
+        ctrl.sat_count[c] += 1
+    elif f < -limit:
+        f = -limit
+        ctrl.sat_count[c] += 1
     return f
 
 
-def controller_pass(y, t0, ts, kind, sos, sos_off, sos_state, dly_buf, dly_len,
-                    dly_pos, gain_n_per_m, lo_omega, lo_phase, force_limit,
-                    sat_count, out_force):
-    """Run the measurement-to-force chain over a block of samples.
-
-    y[n] is the measurement at time t0 + (n + 1) * ts; out_force[n] is the
-    force the actuator would hold starting right after that sample.  State
-    arrays are updated in place so blocks chain seamlessly.
-    """
-    n = y.shape[0]
-    n_ctrl = kind.shape[0]
-    for i in range(n):
-        t = t0 + (i + 1) * ts
-        for c in range(n_ctrl):
-            out_force[c, i] = controller_step(
-                y[i], t, c, kind, sos, sos_off, sos_state, dly_buf, dly_len,
-                dly_pos, gain_n_per_m, lo_omega, lo_phase, force_limit,
-                sat_count,
-            )
-    return 0
-
-
+@np.errstate(all="ignore")  # IEEE infinities and NaNs without warnings, as in C
 def run_block_python(pos, vel, m1, m2, u1, u2, kq, coulomb_on,
                      ou_a1, ou_b1, ou_a2, ou_b2, dt, n_sub,
                      block_index0, ts, thermal, det_sigma, det_noise,
-                     kind, sos, sos_off, sos_state, dly_buf, dly_len, dly_pos,
-                     gain_n_per_m, lo_omega, lo_phase, force_limit, sat_count,
-                     hold_force, store_every, out_z1, out_z2, out_v1, out_v2,
+                     ctrl, store_every, out_z1, out_z2, out_v1, out_v2,
                      out_y, out_force, z_limit):
     """Integrate one block of output samples with feedback held per sample.
 
@@ -138,12 +147,14 @@ def run_block_python(pos, vel, m1, m2, u1, u2, kq, coulomb_on,
     whole of sample window n+1 (zero-order hold, one sample of loop
     latency).  Samples are stored instantaneously every `store_every`
     windows; a sample to be stored with |z1| or |z2| above z_limit is the
-    FAULT_ESCAPED fault instead.
+    FAULT_ESCAPED fault instead.  ctrl, the KernelControllerSet of every
+    controller, and pos and vel are updated in place, so blocks chain.
 
     Returns (fault_code, sample_index_within_block).
     """
     n_samples = thermal.shape[0]
-    n_ctrl = kind.shape[0]
+    n_ctrl = ctrl.kind.shape[0]
+    hold_force = ctrl.hold_force
     z1 = pos[0]
     z2 = pos[1]
     v1 = vel[0]
@@ -209,11 +220,7 @@ def run_block_python(pos, vel, m1, m2, u1, u2, kq, coulomb_on,
         if n_ctrl > 0:
             t = (gi + 1) * ts
             for c in range(n_ctrl):
-                hold_force[c] = controller_step(
-                    y, t, c, kind, sos, sos_off, sos_state, dly_buf, dly_len,
-                    dly_pos, gain_n_per_m, lo_omega, lo_phase, force_limit,
-                    sat_count,
-                )
+                hold_force[c] = controller_step(y, t, c, ctrl)
     pos[0] = z1
     pos[1] = z2
     vel[0] = v1
@@ -224,19 +231,16 @@ def run_block_python(pos, vel, m1, m2, u1, u2, kq, coulomb_on,
 def sosfilt_python(sos, x):
     """x filtered through the second-order sections sos from zero state.
 
-    sos has scipy.signal's layout, one row b0 b1 b2 a0 a1 a2 per section
-    with a0 = 1.  Each section takes controller_step's transposed-direct-
-    form-II step, which is also the order of scipy.signal.sosfilt.
+    sos has one row b0 b1 b2 a1 a2 per section, the controller's layout,
+    and each section takes the controller's biquad step, which is also the
+    order of scipy.signal.sosfilt.
     """
-    sections = sos[:, [0, 1, 2, 4, 5]].tolist()
+    sections = sos.tolist()
     state = [[0.0, 0.0] for _ in sections]
     out = x.tolist()
     for i, u in enumerate(out):
-        for (b0, b1, b2, a1, a2), st in zip(sections, state):
-            y = b0 * u + st[0]
-            st[0] = b1 * u - a1 * y + st[1]
-            st[1] = b2 * u - a2 * y
-            u = y
+        for sec, st in zip(sections, state):
+            u = biquad(sec, st, u)
         out[i] = u
     return np.array(out)
 
@@ -278,10 +282,19 @@ def _build(path):
                 pass
 
 
-# cotrap_run_block's parameters in order: P pointer, D double, I int64
-_C_ARGTYPES = [{"P": ctypes.c_void_p, "D": ctypes.c_double, "I": ctypes.c_int64}[k]
-               for k in "PP" "DDDDD" "I" "DDDDD" "IIDIPDP" "I" "PPPPP" "I" "PPPPPPPP"
-                        "I" "PPPPPP" "I" "D" "P"]
+# the result and parameter types of each function _kernel.c exports, one
+# letter each: P pointer, S char pointer, D double, I int64, i int, V void
+_C_TYPES = {"P": ctypes.c_void_p, "S": ctypes.c_char_p, "D": ctypes.c_double,
+            "I": ctypes.c_int64, "i": ctypes.c_int, "V": None}
+_C_FUNCTIONS = {
+    "cotrap_run_block": ("I", "PP" "DDDDD" "I" "DDDDD" "IIDIPDP" "I" "PPPPP" "I" "PPPPPPPP"
+                              "I" "PPPPPP" "I" "D" "P"),
+    "cotrap_sosfilt": ("V", "PIPPI"),
+    "cotrap_format_g17": ("i", "DPP"),
+    "cotrap_format_rows": ("I", "PIIIPPI"),
+    "cotrap_parse_decimal": ("I", "SPP"),
+    "cotrap_parse_rows": ("I", "PIIPPIP"),
+}
 
 
 def _load():
@@ -293,27 +306,12 @@ def _load():
         if not path.exists():
             _build(path)
         lib = ctypes.CDLL(str(path))
-        fn, filt, fmt = lib.cotrap_run_block, lib.cotrap_sosfilt, lib.cotrap_format_rows
-        parse, g17 = lib.cotrap_parse_rows, lib.cotrap_format_g17
-        decimal = lib.cotrap_parse_decimal
+        for name, (result, params) in _C_FUNCTIONS.items():
+            fn = getattr(lib, name)
+            fn.restype, fn.argtypes = _C_TYPES[result], [_C_TYPES[k] for k in params]
     except OSError as exc:  # no compiler, a failed compile, an unwritable cache, a bad file
         BACKEND, BUILD_ERROR, _lib = "python", str(exc), None
         return
-    fn.argtypes = _C_ARGTYPES
-    fn.restype = ctypes.c_int64
-    filt.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
-                     ctypes.c_int64]
-    filt.restype = None
-    fmt.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
-    fmt.restype = ctypes.c_int64
-    g17.argtypes = [ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p]
-    g17.restype = ctypes.c_int
-    decimal.argtypes = [ctypes.c_char_p, ctypes.c_void_p, ctypes.c_void_p]
-    decimal.restype = ctypes.c_int64
-    parse.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
-                      ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
-    parse.restype = ctypes.c_int64
     # floor(10^q * 2^(127 - floor(log2 10^q))) for q in [-292, 342] as
     # (high, low) 64-bit words: the top 128 bits of 10^q * 2^1200, exact integers
     words = []
@@ -322,6 +320,13 @@ def _load():
         t = x >> (x.bit_length() - 128)
         words += [t >> 64, t & (2**64 - 1)]
     BACKEND, BUILD_ERROR, _lib, _POW10 = "c", None, lib, np.array(words, dtype=np.uint64)
+
+
+def _c_library():
+    """The C library, built or loaded on the first call; None when its build failed."""
+    if BACKEND is None:
+        _load()
+    return _lib
 
 
 def _buffer(name, a, dtype, shape, writes=False, caller="run_block"):
@@ -340,11 +345,10 @@ def _buffer(name, a, dtype, shape, writes=False, caller="run_block"):
 def _c_args(pos, vel, m1, m2, u1, u2, kq, coulomb_on,
             ou_a1, ou_b1, ou_a2, ou_b2, dt, n_sub,
             block_index0, ts, thermal, det_sigma, det_noise,
-            kind, sos, sos_off, sos_state, dly_buf, dly_len, dly_pos,
-            gain_n_per_m, lo_omega, lo_phase, force_limit, sat_count,
-            hold_force, store_every, out_z1, out_z2, out_v1, out_v2,
+            ctrl, store_every, out_z1, out_z2, out_v1, out_v2,
             out_y, out_force, z_limit):
-    """run_block's arguments as cotrap_run_block takes them.
+    """run_block's arguments as cotrap_run_block takes them, the fields of
+    ctrl among them.
 
     Checks the dtype, contiguity and shape of every array and every index
     the loop reads from an array, so that a mismatch raises ValueError
@@ -353,14 +357,18 @@ def _c_args(pos, vel, m1, m2, u1, u2, kq, coulomb_on,
     f8, i8 = np.float64, np.int64
     n_sub, block_index0 = operator.index(n_sub), operator.index(block_index0)
     store_every = operator.index(store_every)
+
+    def field(name, dtype, shape, writes=False):
+        return _buffer(f"ctrl.{name}", getattr(ctrl, name), dtype, shape, writes)
+
     p_thermal = _buffer("thermal", thermal, f8, (None, n_sub, 2))
-    p_kind = _buffer("kind", kind, i8, (None,))
-    p_sos = _buffer("sos", sos, f8, (None, 5))
-    p_dly_buf = _buffer("dly_buf", dly_buf, f8, (kind.shape[0], None), writes=True)
+    p_kind = field("kind", i8, (None,))
+    p_sos = field("sos", f8, (None, 5))
+    p_dly_buf = field("dly_buf", f8, (ctrl.kind.shape[0], None), writes=True)
     p_out_z1 = _buffer("out_z1", out_z1, f8, (None,), writes=True)
-    n_samples, n_ctrl, n_sec = thermal.shape[0], kind.shape[0], sos.shape[0]
-    dly_cols, n_stored = dly_buf.shape[1], out_z1.shape[0]
-    ctrl = (n_ctrl,)
+    n_samples, n_ctrl, n_sec = thermal.shape[0], ctrl.kind.shape[0], ctrl.sos.shape[0]
+    dly_cols, n_stored = ctrl.dly_buf.shape[1], out_z1.shape[0]
+    per = (n_ctrl,)
     args = (
         _buffer("pos", pos, f8, (2,), writes=True),
         _buffer("vel", vel, f8, (2,), writes=True),
@@ -368,17 +376,15 @@ def _c_args(pos, vel, m1, m2, u1, u2, kq, coulomb_on,
         dt, n_sub, block_index0, ts, n_samples, p_thermal, det_sigma,
         _buffer("det_noise", det_noise, f8, (n_samples,)),
         n_ctrl, p_kind, p_sos,
-        _buffer("sos_off", sos_off, i8, (n_ctrl + 1,)),
-        _buffer("sos_state", sos_state, f8, (n_sec, 2), writes=True),
+        field("sos_off", i8, (n_ctrl + 1,)),
+        field("sos_state", f8, (n_sec, 2), writes=True),
         p_dly_buf, dly_cols,
-        _buffer("dly_len", dly_len, i8, ctrl),
-        _buffer("dly_pos", dly_pos, i8, ctrl, writes=True),
-        _buffer("gain_n_per_m", gain_n_per_m, f8, ctrl),
-        _buffer("lo_omega", lo_omega, f8, ctrl),
-        _buffer("lo_phase", lo_phase, f8, ctrl),
-        _buffer("force_limit", force_limit, f8, ctrl),
-        _buffer("sat_count", sat_count, i8, ctrl, writes=True),
-        _buffer("hold_force", hold_force, f8, ctrl, writes=True),
+        field("dly_len", i8, per),
+        field("dly_pos", i8, per, writes=True),
+        *(field(name, f8, per)
+          for name in ("gain_n_per_m", "lo_omega", "lo_phase", "force_limit")),
+        field("sat_count", i8, per, writes=True),
+        field("hold_force", f8, per, writes=True),
         store_every, p_out_z1,
         *(_buffer(name, a, f8, (n_stored,), writes=True)
           for name, a in (("out_z2", out_z2), ("out_v1", out_v1),
@@ -386,8 +392,9 @@ def _c_args(pos, vel, m1, m2, u1, u2, kq, coulomb_on,
         _buffer("out_force", out_force, f8, (n_ctrl, n_stored), writes=True),
         n_stored, z_limit,
     )
+    sos_off, dly_len, dly_pos = ctrl.sos_off, ctrl.dly_len, ctrl.dly_pos
     if not np.all(np.diff(sos_off, prepend=0, append=n_sec) >= 0):
-        raise ValueError(f"run_block: sos_off {sos_off} must rise from 0 to at most {n_sec}")
+        raise ValueError(f"run_block: ctrl.sos_off {sos_off} must rise from 0 to at most {n_sec}")
     if not np.all((dly_len >= 1) & (dly_len <= dly_cols) & (dly_pos >= 0) & (dly_pos < dly_len)):
         raise ValueError(f"run_block: need 1 <= dly_len <= {dly_cols} and 0 <= dly_pos < dly_len")
     if not (store_every >= 1 and block_index0 >= 0
@@ -399,34 +406,30 @@ def _c_args(pos, vel, m1, m2, u1, u2, kq, coulomb_on,
 
 @functools.wraps(run_block_python)
 def run_block(*args):
-    if BACKEND is None:
-        _load()
+    lib = _c_library()
     c_args = _c_args(*args)
-    if _lib is None:
+    if lib is None:
         return run_block_python(*args)
     fault_at = ctypes.c_int64()
-    fault = _lib.cotrap_run_block(*c_args, ctypes.byref(fault_at))
+    fault = lib.cotrap_run_block(*c_args, ctypes.byref(fault_at))
     return fault, fault_at.value
 
 
 def sosfilt(sos, x):
     """sosfilt_python(sos, x), run in C unless the C build failed.
 
-    sos must be a C-contiguous float64 (n_sections, 6) array with a0 = 1 and
-    x a C-contiguous float64 vector; anything else raises ValueError,
-    whichever backend runs.
+    sos must be a C-contiguous float64 (n_sections, 5) array and x a
+    C-contiguous float64 vector; anything else raises ValueError, whichever
+    backend runs.
     """
-    if BACKEND is None:
-        _load()
-    p_sos = _buffer("sos", sos, np.float64, (None, 6), caller="sosfilt")
+    lib = _c_library()
+    p_sos = _buffer("sos", sos, np.float64, (None, 5), caller="sosfilt")
     _buffer("x", x, np.float64, (None,), caller="sosfilt")
-    if not np.all(sos[:, 3] == 1.0):
-        raise ValueError(f"sosfilt: sos[:, 3] must be all ones, got {sos[:, 3]}")
-    if _lib is None:
+    if lib is None:
         return sosfilt_python(sos, x)
     out = x.copy()
     state = np.zeros((sos.shape[0], 2))
-    _lib.cotrap_sosfilt(p_sos, sos.shape[0], state.ctypes.data, out.ctypes.data, out.shape[0])
+    lib.cotrap_sosfilt(p_sos, sos.shape[0], state.ctypes.data, out.ctypes.data, out.shape[0])
     return out
 
 
@@ -447,21 +450,20 @@ def write_rows(fh, columns):
     columns must be one or more 1-D arrays of one length, converted to
     float64; anything else raises ValueError, whichever backend runs.
     """
-    if BACKEND is None:
-        _load()
+    lib = _c_library()
     columns = [np.ascontiguousarray(c, dtype=np.float64) for c in columns]
     shapes = {c.shape for c in columns}
     if len(shapes) != 1 or len(next(iter(shapes))) != 1:
         raise ValueError(f"write_rows: columns must be 1-D arrays of one length, "
                          f"got shapes {[c.shape for c in columns]}")
-    if _lib is None:
+    if lib is None:
         return write_rows_python(fh, columns)
     n_rows, n_cols = columns[0].shape[0], len(columns)
     pointers = (ctypes.c_void_p * n_cols)(*(c.ctypes.data for c in columns))
     size = _WRITE_CHUNK_ROWS * n_cols * _VALUE_BYTES
     buf = ctypes.create_string_buffer(size)
     for r0 in range(0, n_rows, _WRITE_CHUNK_ROWS):
-        n = _lib.cotrap_format_rows(pointers, n_cols, r0, min(r0 + _WRITE_CHUNK_ROWS, n_rows),
+        n = lib.cotrap_format_rows(pointers, n_cols, r0, min(r0 + _WRITE_CHUNK_ROWS, n_rows),
                                     _POW10.ctypes.data, buf, size)
         if n < 0:  # a full buffer, which _VALUE_BYTES rules out, or no "C" locale
             raise RuntimeError(f"write_rows: formatting rows from {r0} failed")
@@ -528,12 +530,11 @@ def read_rows(fh, n_cols):
     become resident, and shrinks it in place at the end.  The text of the
     whole file is never in memory.
     """
-    if BACKEND is None:
-        _load()
+    lib = _c_library()
     n_cols = operator.index(n_cols)
     if n_cols < 1:
         raise ValueError(f"read_rows: n_cols must be at least 1, got {n_cols}")
-    if _lib is None:
+    if lib is None:
         return read_rows_python(fh, n_cols)
     try:
         remaining = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -548,7 +549,7 @@ def read_rows(fh, n_cols):
         bound = n_rows + end // (2 * n_cols)
         if bound > out.shape[0]:  # more than the file held when it was opened
             out.resize((max(bound, 2 * out.shape[0]), n_cols), refcheck=False)
-        rows = _lib.cotrap_parse_rows(buf.ctypes.data, end, n_cols, _POW10.ctypes.data,
+        rows = lib.cotrap_parse_rows(buf.ctypes.data, end, n_cols, _POW10.ctypes.data,
                                       out.ctypes.data + out.itemsize * n_cols * n_rows,
                                       out.shape[0] - n_rows, ctypes.byref(consumed))
         if rows == _NO_LOCALE:

@@ -384,10 +384,10 @@ def _butter4_sos(wn):
     p = p[np.lexsort((abs(p.imag), p.real))]
     p = (p[p.imag > 0] + p[p.imag < 0].conj()) / 2
     near = np.argmin(np.abs(1 - np.abs(p)))
-    sos = np.zeros((2, 6))
+    sos = np.zeros((2, 5))
     for row, pole in ((0, p[1 - near]), (1, p[near])):
         sos[row, :3] = (1.0, 2.0, 1.0)  # the double zero at z = -1
-        sos[row, 3:] = np.poly([pole, pole.conj()])
+        sos[row, 3:] = np.poly([pole, pole.conj()])[1:]  # a0 = 1 left out
     sos[0, :3] *= gain
     return sos
 

@@ -197,8 +197,13 @@ class Trajectory:
                     body = line[1:].decode().strip()
                     if body.startswith("meta = "):
                         meta = json.loads(body[len("meta = "):])
+                        if not isinstance(meta, dict):
+                            raise ValueError(f"meta = {meta!r} is not a JSON object")
                     elif body.startswith("sample_rate_hz = "):
                         sample_rate = float(body[len("sample_rate_hz = "):])
+                        if not 0.0 < sample_rate < math.inf:
+                            raise ValueError(
+                                f"sample_rate_hz {sample_rate!r} is not finite and positive")
                     elif body.startswith("columns = "):
                         columns = body[len("columns = "):].split(",")
                 if sample_rate is None or columns is None:
@@ -349,8 +354,7 @@ def simulate(trap, p1, p2, noise, controllers=(), *, duration, dt, sample_rate,
             f"a block of {block} samples needs {16.0 * block * n_sub:.4g} bytes of noise"
         ) from None
     # the last check before the loop: a chain it builds is a chain that runs
-    kset, info = feedback.build_kernel_set(controllers, sample_rate, p1.mass)
-    hold_force = np.zeros(len(controllers))
+    ctrl, info = feedback.build_kernel_set(controllers, sample_rate, p1.mass)
 
     fault = _kernel.FAULT_NONE
     fault_at = -1
@@ -365,7 +369,7 @@ def simulate(trap, p1, p2, noise, controllers=(), *, duration, dt, sample_rate,
         fault, rel = _kernel.run_block(
             pos, vel, p1.mass, p2.mass, u1, u2, kq, coulomb_coupling,
             a1, b1, a2, b2, dt, n_sub, start, 1.0 / sample_rate,
-            thermal, det_sigma, det_noise, *kset, hold_force,
+            thermal, det_sigma, det_noise, ctrl,
             store_every, out_z1, out_z2, out_v1, out_v2, out_y, out_force, z_limit,
         )
         if fault != _kernel.FAULT_NONE:
@@ -389,7 +393,7 @@ def simulate(trap, p1, p2, noise, controllers=(), *, duration, dt, sample_rate,
         "controller_rate_hz": sample_rate,
         "store_every": store_every,
         "seed": int(noise.seed),
-        "saturation_counts": [int(c) for c in kset.sat_count],
+        "saturation_counts": [int(c) for c in ctrl.sat_count],
         "controller_info": info,
     }
     return Trajectory(

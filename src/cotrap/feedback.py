@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -141,10 +140,21 @@ class ControllerConfig:
         return self.drive_freq if self.drive_freq is not None else 2.0 * self.center
 
 
+def _alpha(center, bandwidth, fs, key):
+    """alpha = sin(w0) bw / (2 center) of a biquad; one so small that 1 - alpha
+    rounds to 1 puts the poles on the unit circle and raises ConfigError."""
+    alpha = math.sin(center / fs) * bandwidth / (2.0 * center)
+    if 1.0 - alpha == 1.0:
+        raise ConfigError(f"key '{key}' of {bandwidth:.4g} rad/s rounds the poles of the filter "
+                          f"at {center:.4g} rad/s onto the unit circle; its frequencies, and the "
+                          f"bandwidths left unset, come from {_MODE_KEYS}")
+    return alpha
+
+
 def _bandpass_section(center, bandwidth, fs):
     """Unity-peak resonant bandpass biquad; zero phase at the center."""
     w0 = center / fs
-    alpha = math.sin(w0) * bandwidth / (2.0 * center)
+    alpha = _alpha(center, bandwidth, fs, "bandwidth_rad_per_s")
     a0 = 1.0 + alpha
     return np.array([alpha / a0, 0.0, -alpha / a0, -2.0 * math.cos(w0) / a0, (1.0 - alpha) / a0])
 
@@ -152,7 +162,7 @@ def _bandpass_section(center, bandwidth, fs):
 def _notch_section(center, bandwidth, fs):
     """Band-reject biquad with a zero exactly on the notch frequency."""
     w0 = center / fs
-    alpha = math.sin(w0) * bandwidth / (2.0 * center)
+    alpha = _alpha(center, bandwidth, fs, "notch_bandwidth_rad_per_s")
     a0 = 1.0 + alpha
     c = -2.0 * math.cos(w0)
     return np.array([1.0 / a0, c / a0, 1.0 / a0, c / a0, (1.0 - alpha) / a0])
@@ -250,29 +260,6 @@ def _resolve(cfg):
     return sections, delay, gain, lo_omega, lo_phase, info
 
 
-class KernelControllerSet(NamedTuple):
-    """Flat controller state arrays, in the order the kernel takes them."""
-
-    kind: np.ndarray
-    sos: np.ndarray
-    sos_off: np.ndarray
-    sos_state: np.ndarray
-    dly_buf: np.ndarray
-    dly_len: np.ndarray
-    dly_pos: np.ndarray
-    gain_n_per_m: np.ndarray
-    lo_omega: np.ndarray
-    lo_phase: np.ndarray
-    force_limit: np.ndarray
-    sat_count: np.ndarray
-
-    def reset(self):
-        self.sos_state[:] = 0.0
-        self.dly_buf[:] = 0.0
-        self.dly_pos[:] = 0
-        self.sat_count[:] = 0
-
-
 def _delay_error(i, cfg, delay):
     return (f"section 'controllers[{i}]': the {cfg.target_mode} mode at {cfg.center:.4g} rad/s "
             f"needs a delay line of {delay} samples, more than memory holds; set "
@@ -330,7 +317,7 @@ def build_kernel_set(configs, sample_rate, mass):
                 f"|{cfg.notch:.4g} - {cfg.center:.4g}| <= bandwidth {cfg.bandwidth:.4g}",
                 stacklevel=2,
             )
-    return KernelControllerSet(
+    return _kernel.KernelControllerSet(
         kind=kinds,
         sos=sos,
         sos_off=np.array(offsets, dtype=np.int64),
@@ -343,6 +330,7 @@ def build_kernel_set(configs, sample_rate, mass):
         lo_phase=lo_p,
         force_limit=limits,
         sat_count=np.zeros(n, dtype=np.int64),
+        hold_force=np.zeros(n),
     ), infos
 
 
@@ -376,10 +364,12 @@ class Controller:
         y = np.ascontiguousarray(measured, dtype=float)
         if t0 is None:
             t0 = self._t_next
-        out = np.empty((1, len(y)))
-        _kernel.controller_pass(y, t0, 1.0 / self.cfg.sample_rate, *self._set, out)
+        ts = 1.0 / self.cfg.sample_rate
+        # y[i] is the measurement at t0 + (i + 1) ts
+        out = np.array([_kernel.controller_step(v, t0 + (i + 1) * ts, 0, self._set)
+                        for i, v in enumerate(y)], dtype=float)
         self._t_next = t0 + len(y) / self.cfg.sample_rate
-        return out[0]
+        return out
 
 
 def parametric_threshold(gamma0, omega):

@@ -408,6 +408,12 @@ class TestCliSimulate:
         ("cooling_sweep.json", ("trap", "z0_meters"), 3.5e9, 0.3, ["controllers[0]", "z0_meters"]),
         # 1e-45 rad/s modes: the chain's response is 0/0, once a raw ValueError
         ("cooling_sweep.json", ("trap", "kappa"), 1.5e-96, 0.3, ["controllers[0]", "kappa"]),
+        # a section so narrow that its poles round onto the unit circle; the
+        # bandpass once divided by 0 in numpy and blamed the mode keys
+        ("squeezing.json", ("controllers", 0, "bandwidth_rad_per_s"), 1e-300, 2.0,
+         ["controllers[0]", "bandwidth_rad_per_s"]),
+        ("squeezing.json", ("controllers", 0, "notch_bandwidth_rad_per_s"), 1e-300, 2.0,
+         ["controllers[0]", "notch_bandwidth_rad_per_s"]),
     ])
     def test_out_of_range_at_run_time_exit_code(self, tmp_path, capsys, name, key, value,
                                                  seconds, quoted):
@@ -427,6 +433,7 @@ class TestCliSimulate:
         # and numpy does not warn of the 0/0 either
         assert not [str(w.message) for w in caught]
         err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err
         for key_name in quoted:
             assert f"'{key_name}'" in err, key_name
 
@@ -633,7 +640,15 @@ class TestCliAnalyze:
         lines = (tmp_path / "good.csv").read_text().splitlines(keepends=True)
         n_header = sum(line.startswith("#") for line in lines) + 1  # plus the names row
         meta = next(i for i, line in enumerate(lines) if line.startswith("# meta = "))
+        rate = next(i for i, line in enumerate(lines) if line.startswith("# sample_rate_hz = "))
+        bad_rates = {f"rate_{i}.csv": lines[:rate] + [f"# sample_rate_hz = {value}\n"]
+                     + lines[rate + 1:]
+                     for i, value in enumerate(["0.0", "nan", "inf", "-2500.0"])}
+        bad_metas = {f"meta_{i}.csv": lines[:meta] + [f"# meta = {value}\n"] + lines[meta + 1:]
+                     for i, value in enumerate(["5", "[1]", '"x"'])}
         damaged = {
+            **bad_rates,
+            **bad_metas,
             "header_only.csv": lines[:n_header],
             # what a simulate killed while writing leaves behind: a row that
             # lost fields, and one that keeps them but whose last value,

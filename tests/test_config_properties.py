@@ -132,16 +132,33 @@ NUMERIC = [t for t in TARGETS if type(_leaf(CONFIGS[t[0]], t[1])) in (int, float
 FACTORS = [0.0, 1e-300, 1e-12, 1e-3, 0.5, 2.0, 1e3, 1e12, 1e300, -1.0]
 
 
+def _scaled(target, factor):
+    """The named config with the numeric leaf at path multiplied by factor."""
+    leaf = _leaf(CONFIGS[target[0]], target[1])
+    value = leaf * factor
+    if type(leaf) is int and math.isfinite(value):
+        value = int(value)
+    return _mutated(target, value)
+
+
 @settings(max_examples=300, deadline=None)
 @given(target=st.sampled_from(NUMERIC),
        factor=st.sampled_from(FACTORS) | st.floats(-1e3, 1e3))
 # once a raw ValueError: the damper's filter chain gave NaN at a near-zero
 # mode frequency
 @example(target=("cooling_sweep.json", ("trap", "kappa")), factor=2.1092816832334743e-95)
+# once a numpy RuntimeWarning: a bandpass so narrow that its poles rounded
+# onto the unit circle, and the chain's response divided by 0
+@example(target=("squeezing.json", ("controllers", 0, "bandwidth_rad_per_s")), factor=1e-300)
 @pytest.mark.filterwarnings("ignore:bandpass overlaps the untargeted mode")
 def test_scaled_config_runs_or_raises_cotrap_error(target, factor):
-    leaf = _leaf(CONFIGS[target[0]], target[1])
-    value = leaf * factor
-    if type(leaf) is int and math.isfinite(value):
-        value = int(value)
-    _parses_and_runs_or_raises(_mutated(target, value))
+    _parses_and_runs_or_raises(_scaled(target, factor))
+
+
+# every fixed factor on every numeric leaf, each run: the property above
+# draws only some of these pairs in one run
+@pytest.mark.parametrize("factor", FACTORS)
+@pytest.mark.parametrize("target", NUMERIC, ids=lambda t: f"{t[0]}:{'.'.join(map(str, t[1]))}")
+@pytest.mark.filterwarnings("ignore:bandpass overlaps the untargeted mode")
+def test_fixed_factor_runs_or_raises_cotrap_error(target, factor):
+    _parses_and_runs_or_raises(_scaled(target, factor))
