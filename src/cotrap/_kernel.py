@@ -27,14 +27,10 @@ or slot per controller; only _c_args orders its fields, for cotrap_run_block:
 
 import ctypes
 import functools
-import hashlib
 import itertools
 import operator
 import os
 import re
-import subprocess
-import sysconfig
-import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
@@ -248,6 +244,9 @@ def sosfilt_python(sos, x):
 def _library_path():
     """The cached build of _kernel.c, named by the platform and a hash of
     the source, the compiler command and the flags."""
+    import hashlib
+    import sysconfig
+
     key = hashlib.sha256(b"\0".join(
         [_SOURCE.read_bytes(), _CC.encode(), *(flag.encode() for flag in _CFLAGS)]
     )).hexdigest()[:16]
@@ -260,6 +259,10 @@ def _build(path):
     The compiler writes a private temporary file that is renamed onto path,
     so processes building at the same time never load a half-written file.
     """
+    import subprocess
+    import sysconfig
+    import tempfile
+
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
     os.close(fd)

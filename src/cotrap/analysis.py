@@ -8,6 +8,7 @@ can.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,6 +113,19 @@ def _segmentation(n, segment_length, overlap):
     return segment_length, int(segment_length * overlap)
 
 
+@functools.lru_cache(maxsize=8, typed=True)
+def _scaled_hann(nperseg, sample_rate):
+    """The Hann window of _segment_ffts, scaled to a density, read-only.
+
+    Its power sum adds left to right, as the builtin sum that scipy's
+    ShortTimeFFT scaling calls, so the scale matches bit for bit.
+    """
+    win = _hann(nperseg)
+    win = win * (1 / np.sqrt(np.add.accumulate(win**2)[-1] / (1 / sample_rate)))
+    win.flags.writeable = False
+    return win
+
+
 def _segment_ffts(x, sample_rate, nperseg, noverlap):
     """One-sided FFTs of the Hann-windowed, mean-removed segments of x, one row
     per segment, scaled so that |X|^2 is a density.
@@ -123,9 +137,16 @@ def _segment_ffts(x, sample_rate, nperseg, noverlap):
     step = nperseg - noverlap
     segs = np.lib.stride_tricks.sliding_window_view(x, nperseg)[::step]
     segs = segs[:(len(x) - noverlap) // step]
-    win = _hann(nperseg)
-    win = win * (1 / np.sqrt(sum(win**2) / (1 / sample_rate)))
-    return np.fft.rfft((segs - segs.mean(axis=-1, keepdims=True)) * win, axis=-1)
+    d = segs - segs.mean(axis=-1, keepdims=True)
+    d *= _scaled_hann(nperseg, sample_rate)
+    return np.fft.rfft(d, axis=-1)
+
+
+def _ffts(x, sample_rate, segment_length, overlap):
+    """(segment length, _segment_ffts rows) of the float trace x, with the
+    segment length and overlap of welch_psd."""
+    nperseg, noverlap = _segmentation(len(x), segment_length, overlap)
+    return nperseg, _segment_ffts(x, sample_rate, nperseg, noverlap)
 
 
 def _average(p, nperseg):
@@ -136,6 +157,19 @@ def _average(p, nperseg):
     return p.mean(axis=-1) if p.shape[-1] > 1 else p.reshape(-1)
 
 
+def _psd(ffts, sample_rate, overlap):
+    """The Psd of welch_psd from the (segment length, rows) of _ffts."""
+    nperseg, spec = ffts
+    return Psd(
+        frequencies=np.fft.rfftfreq(nperseg, 1 / sample_rate),
+        values=_average(spec.real**2 + spec.imag**2, nperseg),
+        sample_rate=sample_rate,
+        segment_length=nperseg,
+        overlap=overlap,
+        n_averages=len(spec),
+    )
+
+
 def welch_psd(trace, sample_rate, segment_length=None, overlap=0.5):
     """Averaged modified-periodogram PSD of a real trace.
 
@@ -143,16 +177,7 @@ def welch_psd(trace, sample_rate, segment_length=None, overlap=0.5):
     that the integral of the PSD matches the trace variance.
     """
     x = np.asarray(trace, dtype=float)
-    segment_length, noverlap = _segmentation(len(x), segment_length, overlap)
-    spec = _segment_ffts(x, sample_rate, segment_length, noverlap)
-    return Psd(
-        frequencies=np.fft.rfftfreq(segment_length, 1 / sample_rate),
-        values=_average(spec.real**2 + spec.imag**2, segment_length),
-        sample_rate=sample_rate,
-        segment_length=segment_length,
-        overlap=overlap,
-        n_averages=len(spec),
-    )
+    return _psd(_ffts(x, sample_rate, segment_length, overlap), sample_rate, overlap)
 
 
 def auto_band(psd, f_center, n_linewidths=5.0, search=0.2):
@@ -313,9 +338,13 @@ def fit_r_pm(s1, s2, sample_rate, segment_length=None, overlap=0.5):
     s2 = np.asarray(s2, dtype=float)
     if s1.shape != s2.shape:
         raise AnalysisError("s1 and s2 must have equal length")
-    segment_length, noverlap = _segmentation(len(s1), segment_length, overlap)
-    x1 = _segment_ffts(s1, sample_rate, segment_length, noverlap)
-    x2 = _segment_ffts(s2, sample_rate, segment_length, noverlap)
+    return _fit_r_pm(s1, s2, _ffts(s1, sample_rate, segment_length, overlap),
+                     _ffts(s2, sample_rate, segment_length, overlap), sample_rate, overlap)
+
+
+def _fit_r_pm(s1, s2, ffts1, ffts2, sample_rate, overlap):
+    """fit_r_pm of the float traces s1 and s2 of one length, from their _ffts."""
+    (segment_length, x1), (_, x2) = ffts1, ffts2
     freqs = np.fft.rfftfreq(segment_length, 1 / sample_rate)
     p11 = _average(x1.real**2 + x1.imag**2, segment_length)
     p22 = _average(x2.real**2 + x2.imag**2, segment_length)

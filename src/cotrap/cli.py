@@ -11,15 +11,13 @@ Exit codes: 0 success, 2 configuration error, 3 runtime fault,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import csv
 import json
 import sys
-import traceback
 from pathlib import Path
 
 import numpy as np
 
+from . import _kernel
 from .config import load_config, parse_config, serialize_config
 from .dynamics import Trajectory, write_columns
 from .errors import ConfigError, CotrapError
@@ -125,30 +123,38 @@ def cmd_simulate(args):
 
 
 def _set_by_path(raw, path, value):
+    """Set the number at path in raw to value. path is dot-separated keys,
+    with an index for a step into a list; a step that leads nowhere, or a
+    target that is not a number, is a ConfigError naming the step."""
     keys = path.split(".")
     node = raw
-    for key in keys[:-1]:
+    for i, key in enumerate(keys):
+        where = ".".join(keys[:i]) or "the top level"
         if isinstance(node, list):
-            node = node[int(key)]
-        elif key in node:
+            try:
+                key = range(len(node))[int(key)]
+            except (ValueError, IndexError):
+                raise ConfigError(f"key 'parameter' in section 'sweep': '{path}' steps "
+                                  f"to '{key}', but '{where}' is a list of {len(node)}") from None
+        elif not (isinstance(node, dict) and key in node):
+            raise ConfigError(f"key 'parameter' in section 'sweep': '{path}' steps "
+                              f"to '{key}', which '{where}' does not have")
+        if i < len(keys) - 1:
             node = node[key]
-        else:
-            raise ConfigError(f"sweep parameter path '{path}': no section '{key}'")
-    last = keys[-1]
-    if isinstance(node, list):
-        node[int(last)] = value
-    else:
-        if last not in node:
-            raise ConfigError(f"sweep parameter path '{path}': no key '{last}'")
-        if not isinstance(node[last], (int, float)) or isinstance(node[last], bool):
-            raise ConfigError(f"sweep parameter '{path}' is not numeric")
-        node[last] = value
+    if not isinstance(node[key], (int, float)) or isinstance(node[key], bool):
+        raise ConfigError(f"key 'parameter' in section 'sweep': '{path}' is not a number")
+    node[key] = value
+
+
+def _swept(raw, path, value):
+    """A copy of raw with the number at path set to value."""
+    raw = json.loads(json.dumps(raw))
+    _set_by_path(raw, path, value)
+    return raw
 
 
 def _sweep_one(raw, path, value, rundir):
-    raw_i = json.loads(json.dumps(raw))
-    _set_by_path(raw_i, path, value)
-    cfg = parse_config(raw_i)
+    cfg = parse_config(_swept(raw, path, value))
     rundir.mkdir(parents=True, exist_ok=True)
     result = run_experiment(cfg)
     _write_run_outputs(rundir, cfg, result)
@@ -189,6 +195,8 @@ def _sweep_point(value, rundir, future):
     An exception that is not a CotrapError is a bug: its traceback, the
     worker's frames included, goes to stderr and to rundir/traceback.txt.
     """
+    import traceback
+
     try:
         return _sweep_row(value, future.result())
     except Exception as exc:  # a failed point must not lose the finished rows
@@ -204,18 +212,24 @@ def _sweep_point(value, rundir, future):
 
 
 def cmd_sweep(args):
+    import concurrent.futures
+    import csv
+
     cfg = load_config(args.config, seed_override=args.seed)
     if cfg.sweep is None:
         raise ConfigError("configuration has no 'sweep' section")
     workers = args.workers if args.workers is not None else cfg.sweep.workers
     if workers < 1:
         raise ConfigError(f"option '--workers' must be >= 1, got {workers}")
-    out = _outdir(args)
     # every point reuses the resolved noise and detection seeds: common
     # random numbers, so differences between points come from the parameter
     values = cfg.sweep.values
+    _swept(cfg.resolved, cfg.sweep.parameter, values[0])  # a bad path fails here, once
+    out = _outdir(args)
     jobs = [(cfg.resolved, cfg.sweep.parameter, value, out / f"run_{i:03d}")
             for i, value in enumerate(values)]
+    # forked workers inherit the kernel, so a cold cache compiles it once
+    _kernel._c_library()
     # every point runs in a worker process whatever the worker count, so
     # the rows do not depend on it; a process pool starts all of its
     # workers at the first submit
@@ -294,6 +308,11 @@ def main(argv=None):
     except CotrapError as exc:
         print(f"runtime fault: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if _kernel.BACKEND == "python":
+            error = " ".join(_kernel.BUILD_ERROR.split())
+            print(f"note: the C kernel did not load, so the Python fallback ran: {error}",
+                  file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -292,6 +292,13 @@ def _parse_controller(idx, data, sample_rate):
     return c
 
 
+def _derived_seeds(seed):
+    """(noise seed, detection seed) derived from run.seed, for the sections
+    that give none. Only called then: a resolved configuration never
+    imports numpy.random."""
+    return tuple(int(s) for s in np.random.SeedSequence(seed).generate_state(2, np.uint64))
+
+
 def parse_config(raw, seed_override=None):
     """Validate a configuration mapping and build the domain objects."""
     if not isinstance(raw, dict):
@@ -310,12 +317,9 @@ def parse_config(raw, seed_override=None):
         r = dict(r, seed=seed_override)
     run = RunSettings(**_section("run", r, _SCHEMA["run"]))
 
-    noise_seed, det_seed = (
-        int(s) for s in np.random.SeedSequence(run.seed).generate_state(2, np.uint64)
-    )
     n = _section("noise", raw["noise"], _SCHEMA["noise"])
     if n["seed"] is None:
-        n["seed"] = noise_seed
+        n["seed"] = _derived_seeds(run.seed)[0]
     noise = NoiseModel(**n)
 
     particles_raw = raw["particles"]
@@ -341,7 +345,7 @@ def parse_config(raw, seed_override=None):
     if raw.get("detection") is not None:
         d = _section("detection", raw["detection"], _SCHEMA["detection"])
         if d["seed"] is None:
-            d["seed"] = det_seed
+            d["seed"] = _derived_seeds(run.seed)[1]
         detection = DetectionModel(sample_rate=run.sample_rate, **d)
 
     controllers_raw = raw.get("controllers", [])

@@ -123,9 +123,12 @@ def analyze_trajectory(traj, modes, p1, p2, settings, controllers=(),
 
     nperseg = _nperseg(len(s1), fs, settings)
     kw = dict(segment_length=nperseg, overlap=settings.overlap)
+    # the particles' segment FFTs give their PSDs and the full-length
+    # mixing fit, and are dropped after it
+    ffts = [ana._ffts(s, fs, nperseg, settings.overlap) for s in (s1, s2)]
     psds = {
-        "particle1": ana.welch_psd(s1, fs, **kw),
-        "particle2": ana.welch_psd(s2, fs, **kw),
+        "particle1": ana._psd(ffts[0], fs, settings.overlap),
+        "particle2": ana._psd(ffts[1], fs, settings.overlap),
         "mode_plus": ana.welch_psd(mt.z_plus, fs, **kw),
         "mode_minus": ana.welch_psd(mt.z_minus, fs, **kw),
     }
@@ -202,7 +205,7 @@ def analyze_trajectory(traj, modes, p1, p2, settings, controllers=(),
 
     if settings.fit_mixing_ratios:
         try:
-            fit = ana.fit_r_pm(s1, s2, fs, segment_length=nperseg, overlap=settings.overlap)
+            fit = ana._fit_r_pm(s1, s2, *ffts, fs, settings.overlap)
             # split-half scatter as the statistical uncertainty of the fit
             half = len(s1) // 2
             seg_half = min(nperseg, 2 ** int(math.log2(max(half // 4, 64))))
@@ -217,6 +220,7 @@ def analyze_trajectory(traj, modes, p1, p2, settings, controllers=(),
             }
         except AnalysisError as exc:
             report["fitted"] = {"skipped": str(exc)}
+    del ffts
 
     ctrl_entries = []
     for cfg, info in zip(controllers, traj.meta.get("controller_info", [])):

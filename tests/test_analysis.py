@@ -1,5 +1,8 @@
 """Spectral estimator suite with synthetic oracles."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import linalg, signal
@@ -11,6 +14,7 @@ from cotrap.analysis import (
     _butter4_sos,
     _hann,
     _median,
+    _scaled_hann,
     _segment_ffts,
     _segmentation,
     demodulate,
@@ -20,7 +24,9 @@ from cotrap.analysis import (
     squeezing_db,
     welch_psd,
 )
+from cotrap.config import parse_config
 from cotrap.constants import K_B
+from cotrap.report import run_experiment
 
 FS = 4096.0
 
@@ -376,3 +382,46 @@ class TestScipyParity:
             ref = signal.sosfilt(scipy_sos, x)
             assert np.array_equal(_kernel.sosfilt(sos, x), ref), wn
             assert np.array_equal(_kernel.sosfilt_python(sos, x), ref), wn
+
+
+class TestSharedSpectra:
+    """analyze_trajectory computes the particles' segment FFTs once, for their
+    PSDs and the full-length mixing fit, and gets the standalone results."""
+
+    def test_analysis_matches_standalone_calls(self):
+        path = Path(__file__).resolve().parent.parent / "configs" / "characterised_pair.json"
+        raw = json.loads(path.read_text())
+        raw["run"]["duration_seconds"] = 3.0
+        cfg = parse_config(raw)
+        result = run_experiment(cfg)
+        traj, fs = result.trajectory, result.trajectory.sample_rate
+        i0 = min(int(traj.duration / 10.0 * fs), len(traj.z1) - 2)
+        modes = result.report["theory"]
+        s1 = traj.z1[i0:] - modes["z1_eq_m"]["value"]
+        s2 = traj.z2[i0:] - modes["z2_eq_m"]["value"]
+        kw = dict(segment_length=int(result.report["estimator"]["segment_length"]["value"]),
+                  overlap=cfg.analysis.overlap)
+        for name, trace in (("particle1", s1), ("particle2", s2)):
+            got, alone = result.psds[name], welch_psd(trace, fs, **kw)
+            assert np.array_equal(got.frequencies, alone.frequencies), name
+            assert np.array_equal(got.values, alone.values), name
+            assert (got.segment_length, got.n_averages) == (alone.segment_length,
+                                                            alone.n_averages), name
+        fit = fit_r_pm(s1, s2, fs, **kw)
+        fitted = result.report["fitted"]
+        assert fitted["r_plus"]["value"] == fit.r_plus
+        assert fitted["r_minus"]["value"] == fit.r_minus
+        assert fitted["leakage_db"]["value"] == fit.leakage_db
+
+    def test_window_scale_sums_like_the_builtin_sum(self):
+        lengths = [*range(1, 700), *(2**k + d for k in range(10, 17) for d in (0, 1))]
+        for n in lengths:
+            win = _hann(n)
+            expected = win * (1 / np.sqrt(sum(win**2) / (1 / FS)))
+            assert np.array_equal(_scaled_hann.__wrapped__(n, FS), expected), n
+
+    def test_cached_window_is_read_only(self):
+        win = _scaled_hann(256, FS)
+        with pytest.raises(ValueError):
+            win[0] = 1.0
+        assert _scaled_hann(256, FS) is win

@@ -5,13 +5,17 @@ import csv
 import json
 import math
 import multiprocessing
+import os
+import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cotrap import cli
+from cotrap import _kernel, cli
 from cotrap.cli import main
 from cotrap.config import parse_config, serialize_config
 from cotrap.dynamics import Trajectory
@@ -264,7 +268,51 @@ def assert_numeric_csvs_exact(out, result):
             assert np.array_equal(x, quad.x) and np.array_equal(y, quad.y), name + suffix
 
 
+# argv: a compiler command to build the kernel with and a cache directory
+# ("-" for both: the usual ones), then the CLI arguments
+_BACKEND_SCRIPT = """
+import sys
+from pathlib import Path
+from cotrap import _kernel
+from cotrap.cli import main
+if sys.argv[1] != "-":
+    _kernel._CC, _kernel._CACHE_DIR = sys.argv[1], Path(sys.argv[2])
+sys.exit(main(sys.argv[3:]))
+"""
+
+
+def run_cli(*args, cc="-", cache="-"):
+    env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src"))
+    return subprocess.run([sys.executable, "-c", _BACKEND_SCRIPT, cc, str(cache), *args],
+                          env=env, capture_output=True, text=True)
+
+
 class TestCliSimulate:
+    def test_python_fallback_says_so_on_stderr(self, tmp_path):
+        # the squeezer runs the kernel, the filters and the writers; only
+        # stderr tells the Python fallback from the C build
+        if shutil.which(_kernel._CC) is None:
+            pytest.skip(f"no C compiler '{_kernel._CC}' on PATH")
+        raw = json.loads((CONFIG_DIR / "squeezing.json").read_text())
+        raw["run"]["duration_seconds"] = 2.0
+        path = write_config(tmp_path, raw)
+        missing = str(tmp_path / "no-such-cc")
+        outs = {"c": tmp_path / "c", "python": tmp_path / "python"}
+        built = run_cli("simulate", "--config", str(path), "--out", str(outs["c"]))
+        fallback = run_cli("simulate", "--config", str(path), "--out", str(outs["python"]),
+                           cc=missing, cache=tmp_path / "cache")
+        assert built.returncode == 0 and fallback.returncode == 0, fallback.stderr
+        assert built.stderr == ""
+        lines = fallback.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("note: the C kernel did not load")
+        assert missing in lines[0]
+        assert fallback.stdout.replace(str(outs["python"]), str(outs["c"])) == built.stdout
+        names = sorted(p.name for p in outs["c"].iterdir())
+        assert names == sorted(p.name for p in outs["python"].iterdir())
+        assert "quadratures_particle1.csv" in names
+        for name in names:
+            assert (outs["c"] / name).read_bytes() == (outs["python"] / name).read_bytes(), name
+
     def test_outputs_and_reproducibility(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
         out_a = tmp_path / "a"
@@ -500,20 +548,39 @@ class TestCliSweep:
         assert rows[1]["error"] == repr(
             "ConfigError: key 'eta' in section 'trap' must be in (0, 1]")
 
-    def test_bad_parameter_path(self, tmp_path):
-        # a path error of any exception type becomes a failed row
-        for parameter, error in (("trap.nonexistent", "ConfigError"),
-                                 ("controllers.3.gamma_fb_rad_per_s", "IndexError")):
+    def test_bad_parameter_path(self, tmp_path, capsys):
+        # a path that leads nowhere is one configuration error naming
+        # sweep.parameter and the bad step, before any point runs
+        for parameter, step in (("trap.nonexistent", "'nonexistent', which 'trap'"),
+                                ("controllers.3.gamma_fb_rad_per_s", "'3', but 'controllers'"),
+                                ("particles.5.charge_e", "'5', but 'particles'"),
+                                ("particles.x.charge_e", "'x', but 'particles'"),
+                                ("trap.v0_volts.x", "'x', which 'trap.v0_volts'"),
+                                ("nosection.x", "'nosection', which 'the top level'"),
+                                ("particles.0", "'particles.0' is not a number"),
+                                ("controllers.0.kind", "'controllers.0.kind' is not a number")):
             raw = base_config()
             raw["controllers"] = [{"kind": "velocity_damper", "target_mode": "plus",
                                    "gamma_fb_rad_per_s": 1.0}]
-            raw["sweep"] = {"parameter": parameter, "values": [1.0]}
+            raw["sweep"] = {"parameter": parameter, "values": [1.0, 2.0]}
             path = write_config(tmp_path, raw)
-            out = tmp_path / error
-            assert main(["sweep", "--config", str(path), "--out", str(out)]) == 4
-            lines = (out / "sweep.csv").read_text().strip().splitlines()
-            assert len(lines) == 2
-            assert "'failed'" in lines[1] and error in lines[1]
+            out = tmp_path / "out"
+            assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2, parameter
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: key 'parameter' in section 'sweep'")
+            assert step in err and err.count("\n") == 1, err
+            assert not out.exists()
+
+    def test_parameter_path_into_a_list(self, tmp_path):
+        # an index step, from the end too, reaches a particle's density
+        raw = base_config()
+        raw["run"]["duration_seconds"] = 1.0
+        raw["sweep"] = {"parameter": "particles.-1.density_kg_per_m3", "values": [1900.0]}
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        resolved = json.loads((out / "run_000" / "resolved_config.json").read_text())
+        assert resolved["particles"][1]["density_kg_per_m3"] == 1900.0
 
 
     def test_faulting_point_same_for_any_worker_count(self, tmp_path):

@@ -1,7 +1,9 @@
 """What a fresh interpreter loads: numpy is the only runtime dependency, so
 neither `import cotrap` with a config nor a run loads any scipy module, and a
 run with scipy made unimportable still fits the mixing ratios.  Nor does a
-run load numpy.ma, which np.median would import."""
+run load numpy.ma, which np.median would import.  `import cotrap` loads
+nothing that only a kernel build or a sweep needs, and `cotrap analyze` of
+a resolved configuration never needs numpy.random."""
 
 import json
 import os
@@ -9,21 +11,26 @@ import subprocess
 import sys
 from pathlib import Path
 
+from cotrap.config import parse_config, serialize_config
+
 ROOT = Path(__file__).resolve().parent.parent
 
-# argv: the file to write the loaded module names to, then the CLI arguments
-# (none: import cotrap and load configs/squeezing.json instead)
+# argv: the file to write the loaded module names to, then the CLI
+# arguments, or "numpy" to import numpy alone, or "load_config" and a config
+# file to import cotrap and load that file
 _SCRIPT = """
 import json, sys
 out, args = sys.argv[1], sys.argv[2:]
-if args:
-    from cotrap.cli import main
-    code = main(args)
-else:
+code = 0
+if args == ["numpy"]:
+    import numpy
+elif args[0] == "load_config":
     import cotrap
     from cotrap.config import load_config
-    load_config("configs/squeezing.json")
-    code = 0
+    load_config(args[1])
+else:
+    from cotrap.cli import main
+    code = main(args)
 with open(out, "w") as fh:
     json.dump(sorted(sys.modules), fh)
 sys.exit(code)
@@ -56,7 +63,39 @@ def short_config(tmp_path, name, seconds):
 
 
 def test_import_and_config_load_no_scipy(tmp_path):
-    assert scipy_modules(loaded_modules(tmp_path)) == []
+    modules = loaded_modules(tmp_path, "load_config", "configs/squeezing.json")
+    assert scipy_modules(modules) == []
+
+
+# what only loading or building the kernel (subprocess, hashlib) or a sweep
+# (the rest) needs
+_BUILD_AND_SWEEP_ONLY = ("subprocess", "hashlib", "concurrent.futures", "logging", "csv")
+
+
+def test_import_and_config_load_skip_build_and_sweep_modules(tmp_path):
+    # a resolved configuration: deriving the seeds loads numpy.random,
+    # whose `secrets` imports hashlib
+    raw = json.loads((ROOT / "configs" / "squeezing.json").read_text())
+    resolved = tmp_path / "resolved.json"
+    resolved.write_text(serialize_config(parse_config(raw)))
+    baseline = set(loaded_modules(tmp_path, "numpy"))
+    added = set(loaded_modules(tmp_path, "load_config", str(resolved))) - baseline
+    assert [m for m in _BUILD_AND_SWEEP_ONLY if m in added] == []
+    assert "numpy.random" not in added
+
+
+def test_analyze_skips_random_pool_and_build_modules(tmp_path):
+    # the trajectory's embedded configuration is resolved, and the library
+    # is built by the simulate that wrote it
+    cfg = short_config(tmp_path, "characterised_pair.json", 3.0)
+    run = tmp_path / "run"
+    loaded_modules(tmp_path, "simulate", "--config", str(cfg), "--out", str(run))
+    baseline = set(loaded_modules(tmp_path, "numpy"))
+    added = set(loaded_modules(tmp_path, "analyze", str(run / "trajectory.csv"),
+                               "--out", str(tmp_path / "analyzed"))) - baseline
+    assert (tmp_path / "analyzed" / "report.json").exists()
+    assert [m for m in ("numpy.random", "concurrent.futures", "subprocess", "logging", "csv")
+            if m in added] == []
 
 
 def test_simulate_and_analyze_load_no_scipy(tmp_path):
