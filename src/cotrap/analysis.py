@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,7 +115,7 @@ def _segmentation(n, segment_length, overlap):
 
 @functools.lru_cache(maxsize=8, typed=True)
 def _scaled_hann(nperseg, sample_rate):
-    """The Hann window of _segment_ffts, scaled to a density, read-only.
+    """The Hann window of _spectra, scaled to a density, read-only.
 
     Its power sum adds left to right, as the builtin sum that scipy's
     ShortTimeFFT scaling calls, so the scale matches bit for bit.
@@ -126,48 +126,44 @@ def _scaled_hann(nperseg, sample_rate):
     return win
 
 
-def _segment_ffts(x, sample_rate, nperseg, noverlap):
-    """One-sided FFTs of the Hann-windowed, mean-removed segments of x, one row
-    per segment, scaled so that |X|^2 is a density.
+_BLOCK_BYTES = 256 * 1024  # of float64 segments that _spectra transforms at once
 
-    The arithmetic is scipy.signal.welch's and csd's (ShortTimeFFT with
-    scale_to="psd"), so the spectra built from these rows match them bit
+
+def _spectra(traces, sample_rate, segment_length, overlap, cross=False):
+    """Averaged one-sided spectra of float traces of one length: the Psd of
+    each, then, when cross is set, the real cross spectrum Re(X1 conj X2) of
+    the first two as a Psd.
+
+    The segments are mean-removed, Hann-windowed and transformed a block at
+    a time, and only the per-segment powers are kept, so no trace's segment
+    FFTs are ever held whole.  The arithmetic is scipy.signal.welch's and
+    csd's (ShortTimeFFT with scale_to="psd"), so the spectra match them bit
     for bit.
     """
+    n = len(traces[0])
+    nperseg, noverlap = _segmentation(n, segment_length, overlap)
     step = nperseg - noverlap
-    segs = np.lib.stride_tricks.sliding_window_view(x, nperseg)[::step]
-    segs = segs[:(len(x) - noverlap) // step]
-    d = segs - segs.mean(axis=-1, keepdims=True)
-    d *= _scaled_hann(nperseg, sample_rate)
-    return np.fft.rfft(d, axis=-1)
-
-
-def _ffts(x, sample_rate, segment_length, overlap):
-    """(segment length, _segment_ffts rows) of the float trace x, with the
-    segment length and overlap of welch_psd."""
-    nperseg, noverlap = _segmentation(len(x), segment_length, overlap)
-    return nperseg, _segment_ffts(x, sample_rate, nperseg, noverlap)
-
-
-def _average(p, nperseg):
-    """One-sided spectrum from per-segment rows: every bin but DC (and
-    Nyquist, for even nperseg) doubled, then the mean over segments."""
-    p = np.ascontiguousarray(p.T)
-    p[1:-1 if nperseg % 2 == 0 else None] *= 2
-    return p.mean(axis=-1) if p.shape[-1] > 1 else p.reshape(-1)
-
-
-def _psd(ffts, sample_rate, overlap):
-    """The Psd of welch_psd from the (segment length, rows) of _ffts."""
-    nperseg, spec = ffts
-    return Psd(
-        frequencies=np.fft.rfftfreq(nperseg, 1 / sample_rate),
-        values=_average(spec.real**2 + spec.imag**2, nperseg),
-        sample_rate=sample_rate,
-        segment_length=nperseg,
-        overlap=overlap,
-        n_averages=len(spec),
-    )
+    nseg = (n - noverlap) // step
+    win = _scaled_hann(nperseg, sample_rate)
+    rows = max(_BLOCK_BYTES // (8 * nperseg), 1)
+    views = [np.lib.stride_tricks.sliding_window_view(x, nperseg)[::step] for x in traces]
+    # (spectrum, frequency, segment), each spectrum C-contiguous over segments
+    p = np.empty((len(traces) + cross, nperseg // 2 + 1, nseg))
+    for j in range(0, nseg, rows):
+        spec = []
+        for i, segs in enumerate(views):
+            d = segs[j:j + rows]
+            d = d - d.mean(axis=-1, keepdims=True)
+            d *= win
+            spec.append(np.fft.rfft(d, axis=-1))
+            p[i, :, j:j + len(d)] = (spec[i].real**2 + spec[i].imag**2).T
+        if cross:
+            x1, x2 = spec[:2]
+            p[-1, :, j:j + len(d)] = (x1.real * x2.real + x1.imag * x2.imag).T
+    # every bin but DC (and Nyquist, for even nperseg) doubled
+    p[:, 1:-1 if nperseg % 2 == 0 else None] *= 2
+    freqs = np.fft.rfftfreq(nperseg, 1 / sample_rate)
+    return [Psd(freqs, v, sample_rate, nperseg, overlap, nseg) for v in p.mean(axis=-1)]
 
 
 def welch_psd(trace, sample_rate, segment_length=None, overlap=0.5):
@@ -177,7 +173,7 @@ def welch_psd(trace, sample_rate, segment_length=None, overlap=0.5):
     that the integral of the PSD matches the trace variance.
     """
     x = np.asarray(trace, dtype=float)
-    return _psd(_ffts(x, sample_rate, segment_length, overlap), sample_rate, overlap)
+    return _spectra([x], sample_rate, segment_length, overlap)[0]
 
 
 def auto_band(psd, f_center, n_linewidths=5.0, search=0.2):
@@ -338,20 +334,17 @@ def fit_r_pm(s1, s2, sample_rate, segment_length=None, overlap=0.5):
     s2 = np.asarray(s2, dtype=float)
     if s1.shape != s2.shape:
         raise AnalysisError("s1 and s2 must have equal length")
-    return _fit_r_pm(s1, s2, _ffts(s1, sample_rate, segment_length, overlap),
-                     _ffts(s2, sample_rate, segment_length, overlap), sample_rate, overlap)
+    return _fit_r_pm(s1, s2, _spectra([s1, s2], sample_rate, segment_length, overlap,
+                                      cross=True))
 
 
-def _fit_r_pm(s1, s2, ffts1, ffts2, sample_rate, overlap):
-    """fit_r_pm of the float traces s1 and s2 of one length, from their _ffts."""
-    (segment_length, x1), (_, x2) = ffts1, ffts2
-    freqs = np.fft.rfftfreq(segment_length, 1 / sample_rate)
-    p11 = _average(x1.real**2 + x1.imag**2, segment_length)
-    p22 = _average(x2.real**2 + x2.imag**2, segment_length)
-    p12 = _average(x1.real * x2.real + x1.imag * x2.imag, segment_length)
-
-    combined = p11 + p22
-    spectrum = Psd(freqs, combined, sample_rate, segment_length, overlap, len(x1))
+def _mixing_ratios(spectra):
+    """(r_plus, r_minus, low-mode band, high-mode band) of fit_r_pm from the
+    three Psds of _spectra(cross=True): the fit without its leakage."""
+    psd1, psd2, cross = spectra
+    freqs = psd1.frequencies
+    combined = psd1.values + psd2.values
+    spectrum = replace(psd1, values=combined)
     k1 = int(np.argmax(combined[1:])) + 1
     lo1, hi1 = auto_band(spectrum, freqs[k1])
     mask = (freqs < lo1) | (freqs > hi1)
@@ -367,15 +360,22 @@ def _fit_r_pm(s1, s2, ffts1, ffts2, sample_rate, overlap):
     if band_lo[1] >= band_hi[0]:
         raise AnalysisError("mode bands overlap: peaks not spectrally resolved")
 
-    a_lo = _band_matrix(p11, p22, p12, freqs, band_lo)
-    a_hi = _band_matrix(p11, p22, p12, freqs, band_hi)
+    a_lo = _band_matrix(psd1.values, psd2.values, cross.values, freqs, band_lo)
+    a_hi = _band_matrix(psd1.values, psd2.values, cross.values, freqs, band_hi)
     # the low-frequency mode carries the "plus" label for a repulsive pair
     r_minus = _mixing_ratio(a_hi, a_lo)
     r_plus = _mixing_ratio(a_lo, a_hi)
+    return r_plus, r_minus, band_lo, band_hi
 
+
+def _fit_r_pm(s1, s2, spectra):
+    """fit_r_pm of the float traces s1 and s2 of one length, from their
+    _spectra(cross=True)."""
+    r_plus, r_minus, band_lo, band_hi = _mixing_ratios(spectra)
+    psd = spectra[0]
     traces = project_modes(s1, s2, r_plus, r_minus)
-    psd_p = welch_psd(traces.z_plus, sample_rate, segment_length, overlap)
-    psd_m = welch_psd(traces.z_minus, sample_rate, segment_length, overlap)
+    psd_p = welch_psd(traces.z_plus, psd.sample_rate, psd.segment_length, psd.overlap)
+    psd_m = welch_psd(traces.z_minus, psd.sample_rate, psd.segment_length, psd.overlap)
     leak_p = psd_p.band_power(*band_hi) / psd_p.band_power(*band_lo)
     leak_m = psd_m.band_power(*band_lo) / psd_m.band_power(*band_hi)
     leakage_db = 10.0 * math.log10(max(leak_p, leak_m))
@@ -421,13 +421,23 @@ def _butter4_sos(wn):
     return sos
 
 
+def _carrier(n, omega, sample_rate):
+    """(t, cos(omega t), sin(omega t)) of demodulate over n samples, with t
+    read-only, for calls that share one length, omega and sample rate."""
+    t = np.arange(1, n + 1) / sample_rate
+    t.flags.writeable = False
+    return t, np.cos(omega * t), np.sin(omega * t)
+
+
 def demodulate(trace, omega, lowpass_bandwidth, sample_rate, *,
-               mode_separation=None, gamma0=None):
+               mode_separation=None, gamma0=None, carrier=None):
     """Quadratures by mixing with cos/sin at omega and low-pass filtering.
 
     lowpass_bandwidth (rad/s) must pass the mode's envelope (wider than
     the damping rate) while rejecting the other mode and the 2-omega
-    mixing image; violations of the provided bounds raise.
+    mixing image; violations of the provided bounds raise.  carrier is
+    the _carrier of the trace's length, omega and sample_rate, to share
+    among calls; None builds it.
     """
     z = np.asarray(trace, dtype=float)
     if lowpass_bandwidth <= 0:
@@ -449,10 +459,10 @@ def demodulate(trace, omega, lowpass_bandwidth, sample_rate, *,
         raise AnalysisError("demodulation frequency outside (0, Nyquist)")
     if lowpass_bandwidth >= nyq:
         raise AnalysisError("lowpass bandwidth must be below the Nyquist frequency")
-    t = np.arange(1, len(z) + 1) / sample_rate
+    t, cos_wt, sin_wt = carrier or _carrier(len(z), omega, sample_rate)
     sos = _butter4_sos(lowpass_bandwidth / nyq)
-    x = _kernel.sosfilt(sos, 2.0 * z * np.cos(omega * t))
-    y = _kernel.sosfilt(sos, 2.0 * z * np.sin(omega * t))
+    x = _kernel.sosfilt(sos, 2.0 * z * cos_wt)
+    y = _kernel.sosfilt(sos, 2.0 * z * sin_wt)
     settle = min(int(10.0 * sample_rate * 2.0 * math.pi / lowpass_bandwidth), len(z))
     return QuadratureTrace(
         t=t, x=x, y=y, omega=omega, bandwidth=lowpass_bandwidth,

@@ -119,19 +119,20 @@ def analyze_trajectory(traj, modes, p1, p2, settings, controllers=(),
     i0 = min(int(burn * fs), len(traj.z1) - 2)
     s1, s2 = traj.deviations(modes.z1_eq, modes.z2_eq)
     s1, s2 = s1[i0:], s2[i0:]
-    mt = ana.project_modes(s1, s2, modes.r_plus, modes.r_minus)
 
     nperseg = _nperseg(len(s1), fs, settings)
     kw = dict(segment_length=nperseg, overlap=settings.overlap)
-    # the particles' segment FFTs give their PSDs and the full-length
-    # mixing fit, and are dropped after it
-    ffts = [ana._ffts(s, fs, nperseg, settings.overlap) for s in (s1, s2)]
+    # one pass over the particles' segments gives their PSDs and the
+    # cross spectrum of the full-length mixing fit
+    spectra = ana._spectra([s1, s2], fs, nperseg, settings.overlap, cross=True)
+    mt = ana.project_modes(s1, s2, modes.r_plus, modes.r_minus)
     psds = {
-        "particle1": ana._psd(ffts[0], fs, settings.overlap),
-        "particle2": ana._psd(ffts[1], fs, settings.overlap),
+        "particle1": spectra[0],
+        "particle2": spectra[1],
         "mode_plus": ana.welch_psd(mt.z_plus, fs, **kw),
         "mode_minus": ana.welch_psd(mt.z_minus, fs, **kw),
     }
+    del mt  # freed before the mixing fit projects the traces again
 
     f_plus = modes.omega_plus / (2 * math.pi)
     f_minus = modes.omega_minus / (2 * math.pi)
@@ -205,22 +206,21 @@ def analyze_trajectory(traj, modes, p1, p2, settings, controllers=(),
 
     if settings.fit_mixing_ratios:
         try:
-            fit = ana._fit_r_pm(s1, s2, *ffts, fs, settings.overlap)
-            # split-half scatter as the statistical uncertainty of the fit
+            fit = ana._fit_r_pm(s1, s2, spectra)
+            # split-half scatter of the ratios as the statistical uncertainty
             half = len(s1) // 2
             seg_half = min(nperseg, 2 ** int(math.log2(max(half // 4, 64))))
-            fit_a = ana.fit_r_pm(s1[:half], s2[:half], fs, segment_length=seg_half,
-                                 overlap=settings.overlap)
-            fit_b = ana.fit_r_pm(s1[half:], s2[half:], fs, segment_length=seg_half,
-                                 overlap=settings.overlap)
+            (ra_plus, ra_minus, *_), (rb_plus, rb_minus, *_) = (
+                ana._mixing_ratios(ana._spectra([a, b], fs, seg_half, settings.overlap,
+                                                cross=True))
+                for a, b in ((s1[:half], s2[:half]), (s1[half:], s2[half:])))
             report["fitted"] = {
-                "r_plus": entry(fit.r_plus, abs(fit_a.r_plus - fit_b.r_plus) / 2),
-                "r_minus": entry(fit.r_minus, abs(fit_a.r_minus - fit_b.r_minus) / 2),
+                "r_plus": entry(fit.r_plus, abs(ra_plus - rb_plus) / 2),
+                "r_minus": entry(fit.r_minus, abs(ra_minus - rb_minus) / 2),
                 "leakage_db": entry(fit.leakage_db),
             }
         except AnalysisError as exc:
             report["fitted"] = {"skipped": str(exc)}
-    del ffts
 
     ctrl_entries = []
     for cfg, info in zip(controllers, traj.meta.get("controller_info", [])):
@@ -251,12 +251,12 @@ def analyze_trajectory(traj, modes, p1, p2, settings, controllers=(),
         r1, r2 = reference.deviations(modes.z1_eq, modes.z2_eq)
         r1, r2 = r1[i0:], r2[i0:]
         corr_time = 2.0 / gamma0 if gamma0 > 0 else None
+        demod = dict(mode_separation=split, gamma0=gamma0,
+                     carrier=ana._carrier(len(s1), omega_t, fs))
         report["squeezing"] = {"target_mode": which}
         for name, trace_on, trace_off in (("particle1", s1, r1), ("particle2", s2, r2)):
-            q_on = ana.demodulate(trace_on, omega_t, bw, fs,
-                                  mode_separation=split, gamma0=gamma0)
-            q_off = ana.demodulate(trace_off, omega_t, bw, fs,
-                                   mode_separation=split, gamma0=gamma0)
+            q_on = ana.demodulate(trace_on, omega_t, bw, fs, **demod)
+            q_off = ana.demodulate(trace_off, omega_t, bw, fs, **demod)
             res = ana.squeezing_db(q_on, ana.steady_variance(q_off), correlation_time=corr_time)
             quads[name] = (q_on, q_off)
             report["squeezing"][name] = {

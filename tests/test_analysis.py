@@ -1,6 +1,8 @@
 """Spectral estimator suite with synthetic oracles."""
 
 import json
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +12,13 @@ from scipy import linalg, signal
 from cotrap import _kernel
 from cotrap.analysis import (
     AnalysisError,
-    _average,
     _butter4_sos,
+    _carrier,
     _hann,
     _median,
     _scaled_hann,
-    _segment_ffts,
     _segmentation,
+    _spectra,
     demodulate,
     fit_r_pm,
     mode_temperature,
@@ -277,6 +279,17 @@ class TestDemodulate:
         corr = np.corrcoef(x, y)[0, 1]
         assert abs(corr) < 0.1
 
+    def test_shared_carrier(self):
+        omega = 2 * np.pi * 300.0
+        z = np.random.default_rng(22).standard_normal(4096)
+        carrier = _carrier(len(z), omega, FS)
+        alone = demodulate(z, omega, 2 * np.pi * 10.0, FS)
+        shared = demodulate(z, omega, 2 * np.pi * 10.0, FS, carrier=carrier)
+        assert shared.t is carrier[0]
+        assert not shared.t.flags.writeable
+        for name in ("t", "x", "y"):
+            assert np.array_equal(getattr(shared, name), getattr(alone, name)), name
+
     def test_bandwidth_preconditions(self):
         z = np.zeros(4096)
         with pytest.raises(AnalysisError, match="separation"):
@@ -343,10 +356,7 @@ class TestScipyParity:
             f_ref, p_ref = signal.welch(x, **kw)
             _, c_ref = signal.csd(x, y, **kw)
             psd = welch_psd(x, FS, nperseg, overlap)
-            seg, nov = _segmentation(n, nperseg, overlap)
-            fx = _segment_ffts(x, FS, seg, nov)
-            fy = _segment_ffts(y, FS, seg, nov)
-            cross = _average(fx.real * fy.real + fx.imag * fy.imag, seg)
+            cross = _spectra([x, y], FS, nperseg, overlap, cross=True)[2].values
             assert np.array_equal(psd.frequencies, f_ref), overlap
             assert np.array_equal(psd.values, p_ref), overlap
             scale = np.max(np.abs(c_ref.real))
@@ -384,9 +394,66 @@ class TestScipyParity:
             assert np.array_equal(_kernel.sosfilt_python(sos, x), ref), wn
 
 
+def whole_array_spectra(traces, nperseg, overlap, cross):
+    """The spectrum values of _spectra, from every segment's FFT at once."""
+    n = len(traces[0])
+    seg, nov = _segmentation(n, nperseg, overlap)
+    step = seg - nov
+    ffts = []
+    for x in traces:
+        segs = np.lib.stride_tricks.sliding_window_view(x, seg)[::step][:(n - nov) // step]
+        d = segs - segs.mean(axis=-1, keepdims=True)
+        ffts.append(np.fft.rfft(d * _scaled_hann(seg, FS), axis=-1))
+    powers = [f.real**2 + f.imag**2 for f in ffts]
+    if cross:
+        powers.append(ffts[0].real * ffts[1].real + ffts[0].imag * ffts[1].imag)
+    values = []
+    for p in powers:
+        p = np.ascontiguousarray(p.T)
+        p[1:-1 if seg % 2 == 0 else None] *= 2
+        values.append(p.mean(axis=-1) if p.shape[-1] > 1 else p[:, 0])
+    return values
+
+
+class TestStreamedSpectra:
+    """_spectra transforms the segments a block at a time, gets the bits of
+    the whole-array computation, and holds no trace's segment FFTs."""
+
+    # (nperseg, segments): one segment; segment counts that are not a
+    # multiple of the rows of a block (32, 8 and 7 rows) and one that is;
+    # a segment longer than a block, transformed one row at a time
+    @pytest.mark.parametrize("nperseg, nseg", [
+        (64, 1), (65, 1), (1001, 1), (1000, 33), (1001, 45), (4096, 13), (4096, 16),
+        (4097, 9), (40000, 3),
+    ])
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_matches_whole_array(self, nperseg, nseg, cross):
+        rng = np.random.default_rng(nperseg + nseg)
+        n = nperseg + (nseg - 1) * (nperseg - nperseg // 2) + 7
+        traces = [3e-6 + 1e-7 * rng.standard_normal(n), rng.standard_normal(n)]
+        got = _spectra(traces, FS, nperseg, 0.5, cross=cross)
+        expected = whole_array_spectra(traces, nperseg, 0.5, cross)
+        assert len(got) == len(expected) == 2 + cross
+        for psd, values in zip(got, expected):
+            assert (psd.segment_length, psd.n_averages) == (nperseg, nseg)
+            assert np.array_equal(psd.frequencies, np.fft.rfftfreq(nperseg, 1 / FS))
+            assert np.array_equal(psd.values, values)
+
+    def test_peak_memory_is_one_block_over_the_spectra(self):
+        x = np.random.default_rng(6).standard_normal(2**20)
+        tracemalloc.start()
+        try:
+            welch_psd(x, FS, 2**16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes + 4 * 2**20
+
+
 class TestSharedSpectra:
-    """analyze_trajectory computes the particles' segment FFTs once, for their
-    PSDs and the full-length mixing fit, and gets the standalone results."""
+    """analyze_trajectory makes one pass over the particles' segments, for
+    their PSDs and the full-length mixing fit, and gets the standalone
+    results."""
 
     def test_analysis_matches_standalone_calls(self):
         path = Path(__file__).resolve().parent.parent / "configs" / "characterised_pair.json"
@@ -412,6 +479,13 @@ class TestSharedSpectra:
         assert fitted["r_plus"]["value"] == fit.r_plus
         assert fitted["r_minus"]["value"] == fit.r_minus
         assert fitted["leakage_db"]["value"] == fit.leakage_db
+        # the sigmas are the split-half scatter of fit_r_pm's ratios
+        half = len(s1) // 2
+        seg_half = min(kw["segment_length"], 2 ** int(math.log2(max(half // 4, 64))))
+        fit_a = fit_r_pm(s1[:half], s2[:half], fs, seg_half, kw["overlap"])
+        fit_b = fit_r_pm(s1[half:], s2[half:], fs, seg_half, kw["overlap"])
+        assert fitted["r_plus"]["sigma"] == abs(fit_a.r_plus - fit_b.r_plus) / 2
+        assert fitted["r_minus"]["sigma"] == abs(fit_a.r_minus - fit_b.r_minus) / 2
 
     def test_window_scale_sums_like_the_builtin_sum(self):
         lengths = [*range(1, 700), *(2**k + d for k in range(10, 17) for d in (0, 1))]
