@@ -1,12 +1,13 @@
 /* Inner integration and controller loops, a C port of run_block_python,
- * controller_step and sosfilt_python in _kernel.py, the %.17g text
- * formatter behind write_rows and the number parser behind read_rows.
+ * controller_step and sosfilt_python in _kernel.py, the PCG64 generator
+ * behind normals, the %.17g text formatter behind write_rows and the
+ * number parser behind read_rows.
  *
  * Every floating-point operation is the one the Python reference does, in
  * the same order, so that with -ffp-contract=off (no fused multiply-add)
  * and no fast-math the results are bit-identical.  _kernel.py compiles
- * this file on the first run_block, sosfilt, write_rows or read_rows call
- * and checks the dtype, contiguity and shape of every array before calling
+ * this file on the first run_block, sosfilt, write_rows, read_rows or
+ * normals call and checks the dtype, contiguity and shape of every array before calling
  * in; nothing here re-checks.
  *
  * Arrays are C-contiguous: thermal is (n_samples, n_sub, 2), sos is
@@ -184,12 +185,103 @@ void cotrap_sosfilt(const double *sos, int64_t n_sections, double *state,
     }
 }
 
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+#endif
+
+/* PCG64 as numpy.random.PCG64 implements it, and the normal fill over it,
+ * built only when _kernel.py links numpy's archive, which holds the fill.
+ * A 128-bit linear congruential state advances by state = state *
+ * PCG_MULT + inc, and each word is the XSL-RR output of the advanced
+ * state.  A state is four words, the high and low halves of state and then
+ * of inc.  A compiler without 128-bit integers takes the same steps in
+ * 64-bit halves. */
+#ifdef COTRAP_NPYRANDOM
+#define PCG_MULT_HI 0x2360ED051FC65DA4ULL
+#define PCG_MULT_LO 0x4385DF649FCCF645ULL
+
+static void pcg64_step(uint64_t *st)
+{
+#ifdef __SIZEOF_INT128__
+    u128 s = (u128)st[0] << 64 | st[1];
+    s = s * ((u128)PCG_MULT_HI << 64 | PCG_MULT_LO) + ((u128)st[2] << 64 | st[3]);
+    st[0] = (uint64_t)(s >> 64);
+    st[1] = (uint64_t)s;
+#else
+    /* the full 128-bit product of the low words from 32-bit halves; the
+     * cross terms only reach the high word */
+    uint64_t a = st[1], b = PCG_MULT_LO;
+    uint64_t p0 = (a & 0xFFFFFFFFu) * (b & 0xFFFFFFFFu);
+    uint64_t p1 = (a & 0xFFFFFFFFu) * (b >> 32);
+    uint64_t p2 = (a >> 32) * (b & 0xFFFFFFFFu);
+    uint64_t p3 = (a >> 32) * (b >> 32);
+    uint64_t mid = (p0 >> 32) + (p1 & 0xFFFFFFFFu) + (p2 & 0xFFFFFFFFu);
+    uint64_t lo = mid << 32 | (p0 & 0xFFFFFFFFu);
+    uint64_t hi = p3 + (p1 >> 32) + (p2 >> 32) + (mid >> 32)
+                  + st[0] * PCG_MULT_LO + st[1] * PCG_MULT_HI;
+    lo += st[3];
+    st[0] = hi + st[2] + (lo < st[3]);
+    st[1] = lo;
+#endif
+}
+
+static uint64_t pcg64_next64(void *state)
+{
+    uint64_t *st = state;
+    pcg64_step(st);
+    uint64_t v = st[0] ^ st[1];
+    unsigned r = (unsigned)(st[0] >> 58);
+    return v >> r | v << (-r & 63u);
+}
+
+static double pcg64_next_double(void *state)
+{
+    return (double)(pcg64_next64(state) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* Seeds st as numpy's pcg64_set_seed does from the four words of
+ * SeedSequence.generate_state(4, uint64): the initial state from words 0
+ * and 1, the increment (odd) from words 2 and 3. */
+void cotrap_pcg64_seed(uint64_t *st, const uint64_t *words)
+{
+    st[0] = 0;
+    st[1] = 0;
+    st[2] = words[2] << 1 | words[3] >> 63;
+    st[3] = words[3] << 1 | 1u;
+    pcg64_step(st);
+    uint64_t lo = st[1] + words[1];
+    st[0] += words[0] + (lo < words[1]);
+    st[1] = lo;
+    pcg64_step(st);
+}
+
+/* numpy's bit generator interface, with the layout of numpy/random/bitgen.h
+ * (whose distributions.h needs Python.h), and the ziggurat fill of
+ * numpy/random/lib/libnpyrandom.a that Generator.standard_normal runs. */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
+
+/* The next n standard normals of the PCG64 stream st into out, the numbers
+ * numpy.random.Generator(PCG64).standard_normal draws; st advances. */
+void cotrap_normal_fill(uint64_t *st, int64_t n, double *out)
+{
+    /* the normal fill asks only for 64-bit words and doubles */
+    bitgen_t bitgen = {st, pcg64_next64, NULL, pcg64_next_double, pcg64_next64};
+    random_standard_normal_fill(&bitgen, (intptr_t)n, out);
+}
+#endif
+
 /* The exact %.17g formatter and decimal parser below need 128-bit
  * integers; a compiler without them leaves every finite non-zero value to
  * snprintf and every number to strtod. */
 #ifdef __SIZEOF_INT128__
-typedef unsigned __int128 u128;
-
 /* The powers of ten 10^q for q in [POW10_MIN, POW10_MAX], as _kernel.py
  * passes them: pow10[2 * (q - POW10_MIN)] and the word after it are the
  * high and low 64 bits of floor(10^q * 2^(127 - floor(log2 10^q))), a

@@ -1,5 +1,5 @@
-"""Inner integration, controller and filter loops, and the CSV number
-writer and reader.
+"""Inner integration, controller and filter loops, the noise of a run, and
+the CSV number writer and reader.
 
 run_block integrates one block of samples on pre-generated noise arrays;
 sosfilt runs a signal through second-order sections; write_rows writes
@@ -10,6 +10,16 @@ run_block_python, sosfilt_python, write_rows_python and read_rows_python,
 the references the C port matches bit for bit (byte for byte for the text,
 and with the same errors for the reader).  BACKEND and BUILD_ERROR record
 which one runs and why.
+
+normals(seed) draws the noise: the standard normals of
+numpy.random.Generator(PCG64(seed)), bit for bit.  The C build links
+numpy's own normal fill from its archive _NPYRANDOM, found beside numpy,
+and runs it over a PCG64 in _kernel.c, so a run imports no numpy.random.
+On the Python fallback, or when that archive is missing or does not link
+(the kernel then builds without it), numpy.random draws them.  SeedSequence
+is numpy's SeedSequence for integer entropy in pure Python, so deriving
+seeds needs no numpy.random either.  The cache key is a zlib checksum, so
+neither loads OpenSSL, which hashlib and numpy.random's secrets would.
 
 Controller state is one argument, ctrl, a KernelControllerSet, with one row
 or slot per controller; only _c_args orders its fields, for cotrap_run_block:
@@ -52,9 +62,12 @@ NUMBA_ENABLED = False
 _CC = "cc"
 _CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 _SOURCE = Path(__file__).with_name("_kernel.c")
+# numpy's static library of its distributions, whose normal fill the C
+# build links; found beside numpy, since numpy.random would import it
+_NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
 
-BACKEND = None  # "c" or "python", set by the first call of any of the four
+BACKEND = None  # "c" or "python", set by the first call of any of the five
 BUILD_ERROR = None  # why the C kernel did not load, when BACKEND is "python"
 _lib = None  # the loaded C library, None when BACKEND is "python"
 _POW10 = None  # the table of powers of ten of the exact writer and reader, made with _lib
@@ -242,19 +255,27 @@ def sosfilt_python(sos, x):
 
 
 def _library_path():
-    """The cached build of _kernel.c, named by the platform and a hash of
-    the source, the compiler command and the flags."""
-    import hashlib
-    import sysconfig
+    """The cached build of _kernel.c, named by the platform and a checksum
+    of the source, the compiler command, the flags, the normal-fill archive
+    it links when there is one and numpy's version.
 
-    key = hashlib.sha256(b"\0".join(
-        [_SOURCE.read_bytes(), _CC.encode(), *(flag.encode() for flag in _CFLAGS)]
-    )).hexdigest()[:16]
+    zlib, which numpy has loaded already, makes the checksum: hashlib would
+    load OpenSSL into every process that runs the kernel.
+    """
+    import sysconfig
+    import zlib
+
+    archive = str(_NPYRANDOM) if _NPYRANDOM.is_file() else ""
+    data = b"\0".join([_SOURCE.read_bytes(), _CC.encode(), *(flag.encode() for flag in _CFLAGS),
+                       archive.encode(), np.__version__.encode()])
+    key = f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
     return _CACHE_DIR / f"_kernel.{sysconfig.get_platform()}.{key}.so"
 
 
 def _build(path):
-    """Compile _kernel.c into path.
+    """Compile _kernel.c into path, linked with the normal fill of numpy's
+    archive _NPYRANDOM; when that archive is missing or does not link, it
+    compiles _kernel.c alone, without cotrap_normal_fill.
 
     The compiler writes a private temporary file that is renamed onto path,
     so processes building at the same time never load a half-written file.
@@ -268,7 +289,12 @@ def _build(path):
     os.close(fd)
     try:
         cmd = [_CC, *_CFLAGS, "-o", tmp, str(_SOURCE), "-lm"]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = None
+        if _NPYRANDOM.is_file():
+            proc = subprocess.run([*cmd[:-1], "-DCOTRAP_NPYRANDOM", str(_NPYRANDOM), "-lm"],
+                                  capture_output=True, text=True)
+        if proc is None or proc.returncode != 0:
+            proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
             raise OSError(f"{' '.join(cmd)} exited with {proc.returncode}: {proc.stderr.strip()}")
         os.chmod(tmp, 0o755)  # mkstemp made it private to this user
@@ -297,6 +323,8 @@ _C_FUNCTIONS = {
     "cotrap_format_rows": ("I", "PIIIPPI"),
     "cotrap_parse_decimal": ("I", "SPP"),
     "cotrap_parse_rows": ("I", "PIIPPIP"),
+    "cotrap_pcg64_seed": ("V", "PP"),
+    "cotrap_normal_fill": ("V", "PIP"),
 }
 
 
@@ -310,6 +338,8 @@ def _load():
             _build(path)
         lib = ctypes.CDLL(str(path))
         for name, (result, params) in _C_FUNCTIONS.items():
+            if name in ("cotrap_pcg64_seed", "cotrap_normal_fill") and not hasattr(lib, name):
+                continue  # a build without numpy's archive
             fn = getattr(lib, name)
             fn.restype, fn.argtypes = _C_TYPES[result], [_C_TYPES[k] for k in params]
     except OSError as exc:  # no compiler, a failed compile, an unwritable cache, a bad file
@@ -418,22 +448,150 @@ def run_block(*args):
     return fault, fault_at.value
 
 
-def sosfilt(sos, x):
-    """sosfilt_python(sos, x), run in C unless the C build failed.
+def sosfilt(sos, x, out=None):
+    """sosfilt_python(sos, x), run in C unless the C build failed, written
+    into out when it is given (x itself filters in place) and returned.
 
-    sos must be a C-contiguous float64 (n_sections, 5) array and x a
-    C-contiguous float64 vector; anything else raises ValueError, whichever
-    backend runs.
+    sos must be a C-contiguous float64 (n_sections, 5) array, x a
+    C-contiguous float64 vector and out a writable one of x's length;
+    anything else raises ValueError, whichever backend runs.
     """
     lib = _c_library()
     p_sos = _buffer("sos", sos, np.float64, (None, 5), caller="sosfilt")
     _buffer("x", x, np.float64, (None,), caller="sosfilt")
+    if out is None:
+        out = np.empty_like(x)
+    _buffer("out", out, np.float64, x.shape, writes=True, caller="sosfilt")
     if lib is None:
-        return sosfilt_python(sos, x)
-    out = x.copy()
+        out[:] = sosfilt_python(sos, x)
+        return out
+    if out is not x:
+        out[:] = x
     state = np.zeros((sos.shape[0], 2))
     lib.cotrap_sosfilt(p_sos, sos.shape[0], state.ctypes.data, out.ctypes.data, out.shape[0])
     return out
+
+
+# numpy.random.SeedSequence's constants: the hash of the entropy into the
+# pool, the mix of pool words, and the hash of the pool into a state
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(n):
+    """The non-negative integer n as 32-bit words, least significant first."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+class SeedSequence:
+    """numpy.random.SeedSequence(entropy, spawn_key=spawn_key) for an
+    integer entropy, in pure Python: generate_state and spawn give the
+    words and children numpy gives."""
+
+    def __init__(self, entropy, spawn_key=()):
+        self.entropy = operator.index(entropy)
+        self.spawn_key = tuple(spawn_key)
+        self.n_children_spawned = 0
+        entropy = _uint32_words(self.entropy)
+        if self.spawn_key:  # numpy pads the entropy to the pool first
+            entropy += [0] * (_POOL_SIZE - len(entropy))
+        entropy += [w for k in self.spawn_key for w in _uint32_words(k)]
+        hash_const = _INIT_A
+
+        def hashmix(value):
+            nonlocal hash_const
+            value ^= hash_const
+            hash_const = hash_const * _MULT_A & _MASK32
+            value = value * hash_const & _MASK32
+            return value ^ value >> 16
+
+        def mix(x, y):
+            result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+            return result ^ result >> 16
+
+        pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+        for i_src in range(_POOL_SIZE):
+            for i_dst in range(_POOL_SIZE):
+                if i_src != i_dst:
+                    pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+        for word in entropy[_POOL_SIZE:]:
+            for i_dst in range(_POOL_SIZE):
+                pool[i_dst] = mix(pool[i_dst], hashmix(word))
+        self.pool = pool
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        """n_words words of dtype, np.uint32 or np.uint64, as an array."""
+        dtype = np.dtype(dtype)
+        if dtype not in (np.dtype(np.uint32), np.dtype(np.uint64)):
+            raise ValueError("only support uint32 or uint64")
+        hash_const = _INIT_B
+        state = []
+        for i in range(n_words * dtype.itemsize // 4):
+            value = self.pool[i % _POOL_SIZE] ^ hash_const
+            hash_const = hash_const * _MULT_B & _MASK32
+            value = value * hash_const & _MASK32
+            state.append(value ^ value >> 16)
+        words = np.array(state, dtype="<u4")  # numpy's order, whatever the byte order
+        return (words.view("<u8") if dtype.itemsize == 8 else words).astype(dtype)
+
+    def spawn(self, n_children):
+        """n_children independent child sequences, never the same twice."""
+        first = self.n_children_spawned
+        self.n_children_spawned += n_children
+        return [SeedSequence(self.entropy, self.spawn_key + (i,))
+                for i in range(first, first + n_children)]
+
+
+class _Normals:
+    """The standard normals of numpy.random.Generator(PCG64(seed)), drawn
+    by cotrap_normal_fill: PCG64 in C under numpy's own ziggurat."""
+
+    def __init__(self, seed):
+        self._state = np.empty(4, dtype=np.uint64)
+        _lib.cotrap_pcg64_seed(self._state.ctypes.data,
+                               seed.generate_state(4, np.uint64).ctypes.data)
+
+    def standard_normal(self, size=None, out=None):
+        """As Generator.standard_normal: a float when size and out are
+        None, else an array of shape size filled, or out filled in place."""
+        scalar = size is None and out is None
+        if out is None:
+            out = np.empty(() if size is None else size)
+        else:
+            _buffer("out", out, np.float64, (None,) * np.ndim(out), writes=True,
+                    caller="standard_normal")
+            if size is not None and out.shape != tuple(np.atleast_1d(size)):
+                raise ValueError(f"standard_normal: size {size} does not match out {out.shape}")
+        _lib.cotrap_normal_fill(self._state.ctypes.data, out.size, out.ctypes.data)
+        return float(out) if scalar else out
+
+
+def normals(seed):
+    """A generator of the standard normals of
+    numpy.random.Generator(PCG64(seed)), seed an integer or a SeedSequence
+    of this module, with its standard_normal(size=None, out=None).
+
+    On the C backend, when the build linked numpy's archive, it draws in C
+    without importing numpy.random; otherwise it is that numpy Generator.
+    """
+    if not isinstance(seed, SeedSequence):
+        seed = SeedSequence(seed)
+    lib = _c_library()
+    if lib is not None and hasattr(lib, "cotrap_normal_fill"):
+        return _Normals(seed)
+    import numpy.random
+
+    return numpy.random.Generator(numpy.random.PCG64(
+        numpy.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key)))
 
 
 def write_rows_python(fh, columns):

@@ -384,19 +384,28 @@ def _fit_r_pm(s1, s2, spectra):
 
 @dataclass(frozen=True)
 class QuadratureTrace:
-    """Slowly varying quadratures of a mode: z(t) ~ X cos(wt) + Y sin(wt)."""
+    """Slowly varying quadratures of a mode: z(t) ~ X cos(wt) + Y sin(wt),
+    with X and Y the rows of the (2, n) array xy."""
 
     t: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
+    xy: np.ndarray
     omega: float
     bandwidth: float
     sample_rate: float
     settle_samples: int
 
+    @property
+    def x(self):
+        return self.xy[0]
+
+    @property
+    def y(self):
+        return self.xy[1]
+
     def steady(self):
-        """Quadratures with the filter settling transient dropped."""
-        return self.x[self.settle_samples:], self.y[self.settle_samples:]
+        """xy with the filter settling transient dropped, a view; its rows
+        are the steady X and Y."""
+        return self.xy[:, self.settle_samples:]
 
 
 def _butter4_sos(wn):
@@ -461,11 +470,13 @@ def demodulate(trace, omega, lowpass_bandwidth, sample_rate, *,
         raise AnalysisError("lowpass bandwidth must be below the Nyquist frequency")
     t, cos_wt, sin_wt = carrier or _carrier(len(z), omega, sample_rate)
     sos = _butter4_sos(lowpass_bandwidth / nyq)
-    x = _kernel.sosfilt(sos, 2.0 * z * cos_wt)
-    y = _kernel.sosfilt(sos, 2.0 * z * sin_wt)
+    z2 = 2.0 * z
+    xy = np.empty((2, len(z)))
+    for row, wave in zip(xy, (cos_wt, sin_wt)):
+        _kernel.sosfilt(sos, np.multiply(z2, wave, out=row), out=row)
     settle = min(int(10.0 * sample_rate * 2.0 * math.pi / lowpass_bandwidth), len(z))
     return QuadratureTrace(
-        t=t, x=x, y=y, omega=omega, bandwidth=lowpass_bandwidth,
+        t=t, xy=xy, omega=omega, bandwidth=lowpass_bandwidth,
         sample_rate=sample_rate, settle_samples=settle,
     )
 
@@ -502,10 +513,10 @@ def _correlation_time(x, sample_rate):
 
 def _steady(quads):
     """quads.steady(), or AnalysisError when too few samples are left."""
-    x, y = quads.steady()
-    if len(x) < 16:
+    xy = quads.steady()
+    if xy.shape[1] < 16:
         raise AnalysisError("too few quadrature samples after filter settling")
-    return x, y
+    return xy
 
 
 def steady_variance(quads):
@@ -526,8 +537,9 @@ def squeezing_db(quads, reference_variance, correlation_time=None):
     """
     if reference_variance <= 0:
         raise AnalysisError("reference_variance must be > 0")
-    x, y = _steady(quads)
-    cov = np.cov(np.vstack([x, y]))
+    xy = _steady(quads)
+    x, y = xy
+    cov = np.cov(xy)  # copies xy into the C layout np.vstack would make
     evals, evecs = np.linalg.eigh(cov)
     v_min, v_max = float(evals[0]), float(evals[1])
     angle = math.atan2(evecs[1, 0], evecs[0, 0])

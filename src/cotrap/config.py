@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernel
 from .dynamics import NoiseModel
 from .errors import ConfigError, UnstableAxisError, UnstableModeError
 from .feedback import KINDS, DetectionModel
@@ -294,9 +295,11 @@ def _parse_controller(idx, data, sample_rate):
 
 def _derived_seeds(seed):
     """(noise seed, detection seed) derived from run.seed, for the sections
-    that give none. Only called then: a resolved configuration never
-    imports numpy.random."""
-    return tuple(int(s) for s in np.random.SeedSequence(seed).generate_state(2, np.uint64))
+    that give none: the first two 64-bit words of
+    numpy.random.SeedSequence(seed).generate_state, from the pure-Python
+    _kernel.SeedSequence, so no configuration imports numpy.random or
+    builds the kernel."""
+    return tuple(int(s) for s in _kernel.SeedSequence(seed).generate_state(2, np.uint64))
 
 
 def parse_config(raw, seed_override=None):

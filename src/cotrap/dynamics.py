@@ -77,7 +77,8 @@ def thermal_equilibrium_state(trap, p1, p2, t0, rng, coulomb_coupling=True):
     Positions are sampled about the equilibrium points with covariance
     k_B T0 K^-1 where K is the potential curvature matrix; velocities are
     independent with variance k_B T0 / m_i.  At t0 = 0 this returns the
-    equilibrium state at rest.
+    equilibrium state at rest.  rng draws the four normals: a
+    _kernel.normals, as simulate passes, or a numpy.random.Generator.
     """
     u1 = axial_stiffness(trap, p1)
     u2 = axial_stiffness(trap, p2)
@@ -315,17 +316,17 @@ def simulate(trap, p1, p2, noise, controllers=(), *, duration, dt, sample_rate,
             ) from None
     a1, b1, a2, b2 = ou
 
-    thermal_ss, init_ss = np.random.SeedSequence(noise.seed).spawn(2)
-    thermal_gen = np.random.Generator(np.random.PCG64(thermal_ss))
+    thermal_ss, init_ss = _kernel.SeedSequence(noise.seed).spawn(2)
+    thermal_gen = _kernel.normals(thermal_ss)
     if detection is not None:
-        det_gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(detection.seed)))
+        det_gen = _kernel.normals(detection.seed)
         det_sigma = detection.noise_sigma()
     else:
         det_gen = None
         det_sigma = 0.0
 
     if initial_state is None:
-        init_gen = np.random.Generator(np.random.PCG64(init_ss))
+        init_gen = _kernel.normals(init_ss)
         initial_state = thermal_equilibrium_state(
             trap, p1, p2, noise.t0, init_gen, coulomb_coupling=coulomb_coupling
         )

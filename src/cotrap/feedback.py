@@ -71,8 +71,7 @@ def detect(z1_true, det):
     z = np.asarray(z1_true, dtype=float)
     if det.s_nn == 0.0:
         return z.copy()
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(det.seed)))
-    return z + det.noise_sigma() * rng.standard_normal(z.shape)
+    return z + det.noise_sigma() * _kernel.normals(det.seed).standard_normal(z.shape)
 
 
 @dataclass(frozen=True)

@@ -307,7 +307,7 @@ class TestSqueezingDb:
         from cotrap.analysis import QuadratureTrace
 
         return QuadratureTrace(
-            t=np.arange(1, n + 1) / FS, x=c * x - s * y, y=s * x + c * y,
+            t=np.arange(1, n + 1) / FS, xy=np.array([c * x - s * y, s * x + c * y]),
             omega=2 * np.pi * 300.0, bandwidth=100.0, sample_rate=FS,
             settle_samples=0,
         )

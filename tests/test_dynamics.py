@@ -472,30 +472,41 @@ def writer_inputs():
     return np.concatenate([boundaries, -boundaries, bits.view(np.float64)])
 
 
-def build_without_int128(monkeypatch, tmp_path):
-    """Make the next kernel call build _kernel.c as a compiler without
-    unsigned __int128 would, which leaves every value to snprintf."""
-    monkeypatch.setattr(_kernel, "_CFLAGS", _kernel._CFLAGS + ("-U__SIZEOF_INT128__",))
-    monkeypatch.setattr(_kernel, "_CACHE_DIR", tmp_path)
+def build_variant(monkeypatch, cache, backend):
+    """Make the next kernel call build _kernel.c into cache as backend says:
+    "c-without-int128" as a compiler without unsigned __int128 would, which
+    leaves every value to snprintf, or "c-without-npyrandom" with numpy's
+    archive made missing, which leaves the normals to numpy.random."""
+    if backend == "c-without-int128":
+        monkeypatch.setattr(_kernel, "_CFLAGS", _kernel._CFLAGS + ("-U__SIZEOF_INT128__",))
+    else:
+        monkeypatch.setattr(_kernel, "_NPYRANDOM", cache / "no-such-archive.a")
+    monkeypatch.setattr(_kernel, "_CACHE_DIR", cache)
     monkeypatch.setattr(_kernel, "BACKEND", None)
     monkeypatch.setattr(_kernel, "_lib", None)
 
 
+# every kernel build use_backend loads
+BACKENDS = ["c", "c-without-int128", "c-without-npyrandom", "python"]
+
+
 @pytest.fixture(scope="session")
-def without_int128_cache(tmp_path_factory):
-    """The cache directory of the session's one build without __int128."""
-    return tmp_path_factory.mktemp("without-int128")
+def variant_caches(tmp_path_factory):
+    """The cache directory of the session's builds of the C variants, one
+    subdirectory each."""
+    return tmp_path_factory.mktemp("variants")
 
 
-def use_backend(monkeypatch, tmp_path, backend, without_int128_cache):
-    """Make the next kernel call load backend: "c", "c-without-int128" or
-    "python"; a C backend is skipped where there is no compiler."""
+def use_backend(monkeypatch, tmp_path, backend, variant_caches):
+    """Make the next kernel call load backend: "c", "c-without-int128",
+    "c-without-npyrandom" or "python"; a C backend is skipped where there is
+    no compiler."""
     if backend != "python" and shutil.which(_kernel._CC) is None:
         pytest.skip(f"no C compiler '{_kernel._CC}' on PATH")
     if backend == "python":
         fail_the_build(monkeypatch, tmp_path)
-    if backend == "c-without-int128":
-        build_without_int128(monkeypatch, without_int128_cache)
+    elif backend != "c":
+        build_variant(monkeypatch, variant_caches / backend, backend)
 
 
 def assert_same_text(got, expected):
@@ -513,9 +524,9 @@ def assert_same_text(got, expected):
 class TestWriterParity:
     """write_columns writes the bytes of np.savetxt(fmt="%.17g", delimiter=",")."""
 
-    @pytest.mark.parametrize("backend", ["c", "c-without-int128", "python"])
-    def test_matches_savetxt(self, monkeypatch, tmp_path, backend, without_int128_cache):
-        use_backend(monkeypatch, tmp_path, backend, without_int128_cache)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_matches_savetxt(self, monkeypatch, tmp_path, backend, variant_caches):
+        use_backend(monkeypatch, tmp_path, backend, variant_caches)
         values = writer_inputs()
         chunk = _kernel._WRITE_CHUNK_ROWS
         cases = [
@@ -714,9 +725,9 @@ class TestReaderParity:
     """_kernel.read_rows reads what np.loadtxt reads from the writer's text,
     and both backends accept and reject the same rows with the same error."""
 
-    @pytest.mark.parametrize("backend", ["c", "c-without-int128", "python"])
-    def test_matches_loadtxt(self, monkeypatch, tmp_path, backend, without_int128_cache):
-        use_backend(monkeypatch, tmp_path, backend, without_int128_cache)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_matches_loadtxt(self, monkeypatch, tmp_path, backend, variant_caches):
+        use_backend(monkeypatch, tmp_path, backend, variant_caches)
         for n_cols, data, expected in loadtxt_cases():
             # 126 bytes hold the longest 5-value row, 125 bytes and a newline;
             # small buffers split rows and numbers at every offset
@@ -731,10 +742,9 @@ class TestReaderParity:
                     assert_same_values(_kernel.read_rows(fh, n_cols), expected)
         assert _kernel.BACKEND == backend.split("-")[0]
 
-    @pytest.mark.parametrize("backend", ["c", "c-without-int128", "python"])
-    def test_token_corpus_matches_loadtxt(self, monkeypatch, tmp_path, backend,
-                                          without_int128_cache):
-        use_backend(monkeypatch, tmp_path, backend, without_int128_cache)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_token_corpus_matches_loadtxt(self, monkeypatch, tmp_path, backend, variant_caches):
+        use_backend(monkeypatch, tmp_path, backend, variant_caches)
         text, expected = reader_corpus()
         assert_same_values(_kernel.read_rows(io.BytesIO(text.encode()), 5), expected)
         assert _kernel.BACKEND == backend.split("-")[0]
@@ -830,6 +840,116 @@ class TestReaderParity:
                 assert c.shape == (outcome, 3)
                 assert_same_values(python, c)
                 assert np.all(c == [1.5, 2.5, 3.5])
+
+
+# numpy's ziggurat for the normal distribution draws beyond this radius
+# from its tail, the path a stream takes about once in 3800 draws
+_ZIGGURAT_R = 3.6541528853610088
+
+# SeedSequence entropies: the word boundaries, a value of more than two
+# 64-bit words, and random ones
+_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**130,
+          *(int(s) for s in np.random.default_rng(21).integers(0, 2**63, 6))]
+
+
+def numpy_seed_sequence(seed):
+    """numpy.random.SeedSequence of the same entropy and spawn key as the
+    SeedSequence seed of _kernel."""
+    return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key)
+
+
+class TestNoise:
+    """_kernel.SeedSequence and _kernel.normals give numpy.random's words
+    and normals bit for bit, on every backend."""
+
+    @pytest.mark.parametrize("entropy", _SEEDS)
+    def test_seed_sequence_matches_numpy(self, entropy):
+        ours, theirs = _kernel.SeedSequence(entropy), np.random.SeedSequence(entropy)
+        assert ours.entropy == theirs.entropy and ours.spawn_key == theirs.spawn_key
+        for seq, ref in [(ours, theirs), *zip(ours.spawn(2), theirs.spawn(2)),
+                         *zip(ours.spawn(1), theirs.spawn(1))]:
+            assert seq.spawn_key == ref.spawn_key
+            assert np.array_equal(seq.pool, ref.pool)
+            for n_words, dtype in ((1, np.uint32), (7, np.uint32), (2, np.uint64),
+                                   (4, np.uint64)):
+                got, expected = seq.generate_state(n_words, dtype), ref.generate_state(
+                    n_words, dtype)
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+            for child, ref_child in zip(seq.spawn(2), ref.spawn(2)):
+                assert np.array_equal(child.generate_state(4, np.uint64),
+                                      ref_child.generate_state(4, np.uint64))
+
+    def test_seed_sequence_rejects_what_numpy_rejects(self):
+        with pytest.raises(ValueError):
+            _kernel.SeedSequence(-1)
+        with pytest.raises(ValueError):
+            _kernel.SeedSequence(1).generate_state(2, np.float64)
+        with pytest.raises(TypeError):
+            _kernel.SeedSequence(1.5)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_normals_match_generator(self, monkeypatch, tmp_path, backend, variant_caches):
+        use_backend(monkeypatch, tmp_path, backend, variant_caches)
+        # fills of uneven lengths, around the 256 doubles numpy fills per
+        # loop and the kernel's noise blocks; 200037 draws in all
+        splits = [0, 1, 2, 3, 255, 256, 257, 1000, 4093, 65536, 65537, 63097]
+        for entropy in _SEEDS:
+            seed = _kernel.SeedSequence(entropy).spawn(2)[1]
+            gen = _kernel.normals(seed)
+            expected = np.random.Generator(np.random.PCG64(numpy_seed_sequence(seed)))
+            got = [gen.standard_normal(n) for n in splits[:6]]
+            got += [gen.standard_normal(out=np.empty(n)) for n in splits[6:9]]
+            got += [gen.standard_normal(size=(n // 2, 2), out=np.empty((n // 2, 2)))
+                    for n in splits[9:11]]
+            got += [gen.standard_normal((n, 1)) for n in splits[11:]]
+            got = np.concatenate([g.ravel() for g in got])
+            assert np.array_equal(got, expected.standard_normal(got.size)), entropy
+            assert np.abs(got).max() > _ZIGGURAT_R, entropy  # the tail path ran
+            x = gen.standard_normal()
+            assert isinstance(x, float) and x == expected.standard_normal()
+        assert np.array_equal(_kernel.normals(7).standard_normal(5),
+                              np.random.Generator(np.random.PCG64(7)).standard_normal(5))
+        drawn_in_c = backend in ("c", "c-without-int128") and _kernel._NPYRANDOM.is_file()
+        assert isinstance(gen, np.random.Generator) != drawn_in_c
+        assert _kernel.BACKEND == backend.split("-")[0]
+
+    def test_bad_out_raises(self):
+        gen = _kernel.normals(3)
+        if isinstance(gen, np.random.Generator):
+            pytest.skip("numpy.random draws the normals here")
+        for out in (np.empty(4, dtype=np.float32), np.empty(8)[::2], np.empty(4).tolist()):
+            with pytest.raises(ValueError, match="standard_normal: out"):
+                gen.standard_normal(out=out)
+        with pytest.raises(ValueError, match="does not match"):
+            gen.standard_normal(3, out=np.empty(4))
+        # nothing drawn: the stream continues where it was
+        assert gen.standard_normal() == np.random.Generator(np.random.PCG64(3)).standard_normal()
+
+    def test_unlinkable_archive_builds_without_it(self, monkeypatch, tmp_path):
+        if shutil.which(_kernel._CC) is None:
+            pytest.skip(f"no C compiler '{_kernel._CC}' on PATH")
+        archive = tmp_path / "libnpyrandom.a"
+        archive.write_text("not an archive\n")
+        monkeypatch.setattr(_kernel, "_NPYRANDOM", archive)
+        monkeypatch.setattr(_kernel, "_CACHE_DIR", tmp_path / "cache")
+        monkeypatch.setattr(_kernel, "BACKEND", None)
+        monkeypatch.setattr(_kernel, "_lib", None)
+        gen = _kernel.normals(11)
+        assert _kernel.BACKEND == "c", _kernel.BUILD_ERROR
+        assert not hasattr(_kernel._lib, "cotrap_normal_fill")
+        assert isinstance(gen, np.random.Generator)
+        assert gen.standard_normal() == np.random.Generator(np.random.PCG64(11)).standard_normal()
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [_kernel._library_path().name]
+
+    def test_cache_key_follows_the_archive_and_numpy(self, monkeypatch, tmp_path):
+        keys = {_kernel._library_path()}
+        archive = tmp_path / "libnpyrandom.a"
+        archive.write_bytes(b"")
+        monkeypatch.setattr(_kernel, "_NPYRANDOM", archive)
+        keys.add(_kernel._library_path())
+        monkeypatch.setattr(np, "__version__", np.__version__ + "+other")
+        keys.add(_kernel._library_path())
+        assert len(keys) == 3
 
 
 class TestOfflineControllerPath:

@@ -1,17 +1,22 @@
 """What a fresh interpreter loads: numpy is the only runtime dependency, so
 neither `import cotrap` with a config nor a run loads any scipy module, and a
 run with scipy made unimportable still fits the mixing ratios.  Nor does a
-run load numpy.ma, which np.median would import.  `import cotrap` loads
-nothing that only a kernel build or a sweep needs, and `cotrap analyze` of
-a resolved configuration never needs numpy.random."""
+run load numpy.ma, which np.median would import.  `import cotrap` and
+`load_config` load nothing that only a kernel build or a sweep needs, and
+neither numpy.random nor OpenSSL's _hashlib, even when they derive seeds.
+On the C kernel linked with numpy's normal fill, `cotrap simulate` draws
+its noise without numpy.random, and no command loads _hashlib."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-from cotrap.config import parse_config, serialize_config
+import pytest
+
+from cotrap import _kernel
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -67,21 +72,31 @@ def test_import_and_config_load_no_scipy(tmp_path):
     assert scipy_modules(modules) == []
 
 
-# what only loading or building the kernel (subprocess, hashlib) or a sweep
-# (the rest) needs
-_BUILD_AND_SWEEP_ONLY = ("subprocess", "hashlib", "concurrent.futures", "logging", "csv")
+# what only loading or building the kernel (subprocess) or a sweep (the
+# rest) needs, and what would load OpenSSL
+_BUILD_AND_SWEEP_ONLY = ("subprocess", "hashlib", "_hashlib", "concurrent.futures", "logging",
+                         "csv")
 
 
 def test_import_and_config_load_skip_build_and_sweep_modules(tmp_path):
-    # a resolved configuration: deriving the seeds loads numpy.random,
-    # whose `secrets` imports hashlib
-    raw = json.loads((ROOT / "configs" / "squeezing.json").read_text())
-    resolved = tmp_path / "resolved.json"
-    resolved.write_text(serialize_config(parse_config(raw)))
+    # a configuration without noise and detection seeds, which are derived
     baseline = set(loaded_modules(tmp_path, "numpy"))
-    added = set(loaded_modules(tmp_path, "load_config", str(resolved))) - baseline
+    added = set(loaded_modules(tmp_path, "load_config", "configs/squeezing.json")) - baseline
     assert [m for m in _BUILD_AND_SWEEP_ONLY if m in added] == []
     assert "numpy.random" not in added
+
+
+def test_simulate_draws_noise_without_numpy_random(tmp_path):
+    if shutil.which(_kernel._CC) is None:
+        pytest.skip(f"no C compiler '{_kernel._CC}' on PATH")
+    _kernel._load()  # the library the run loads, built here if need be
+    if not hasattr(_kernel._lib, "cotrap_normal_fill"):
+        pytest.skip(f"numpy's archive {_kernel._NPYRANDOM} is missing or does not link")
+    cfg = short_config(tmp_path, "squeezing.json", 2.0)
+    run = tmp_path / "run"
+    modules = loaded_modules(tmp_path, "simulate", "--config", str(cfg), "--out", str(run))
+    assert (run / "quadratures_particle1.csv").exists()
+    assert [m for m in ("numpy.random", "hashlib", "_hashlib") if m in modules] == []
 
 
 def test_analyze_skips_random_pool_and_build_modules(tmp_path):
@@ -94,8 +109,8 @@ def test_analyze_skips_random_pool_and_build_modules(tmp_path):
     added = set(loaded_modules(tmp_path, "analyze", str(run / "trajectory.csv"),
                                "--out", str(tmp_path / "analyzed"))) - baseline
     assert (tmp_path / "analyzed" / "report.json").exists()
-    assert [m for m in ("numpy.random", "concurrent.futures", "subprocess", "logging", "csv")
-            if m in added] == []
+    assert [m for m in ("numpy.random", "concurrent.futures", "subprocess", "logging", "csv",
+                        "hashlib", "_hashlib") if m in added] == []
 
 
 def test_simulate_and_analyze_load_no_scipy(tmp_path):
