@@ -92,7 +92,10 @@ def thermal_equilibrium_state(trap, p1, p2, t0, rng, coulomb_coupling=True):
     xi = rng.standard_normal(4)
     if t0 > 0:
         cov = K_B * t0 * np.linalg.inv(kmat)
-        chol = np.linalg.cholesky(cov)
+        try:
+            chol = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:  # a t0 so small that cov underflowed
+            chol = np.sqrt(K_B * t0) * np.linalg.cholesky(np.linalg.inv(kmat))
         dz = chol @ xi[:2]
         v1 = np.sqrt(K_B * t0 / p1.mass) * xi[2]
         v2 = np.sqrt(K_B * t0 / p2.mass) * xi[3]

@@ -150,6 +150,9 @@ def _scaled(target, factor):
 # once a numpy RuntimeWarning: a bandpass so narrow that its poles rounded
 # onto the unit circle, and the chain's response divided by 0
 @example(target=("squeezing.json", ("controllers", 0, "bandwidth_rad_per_s")), factor=1e-300)
+# once a raw LinAlgError: a t0 so small that the thermal covariance of the
+# initial state underflowed, and its Cholesky factorization failed
+@example(target=("squeezing.json", ("noise", "t0_kelvin")), factor=1.1125369292536007e-308)
 @pytest.mark.filterwarnings("ignore:bandpass overlaps the untargeted mode")
 def test_scaled_config_runs_or_raises_cotrap_error(target, factor):
     _parses_and_runs_or_raises(_scaled(target, factor))
