@@ -615,17 +615,19 @@ int64_t cotrap_parse_decimal(const char *s, const uint64_t *pow10, double *out)
 /* Parses the complete rows at the start of buf[0, len): each row is n_cols
  * numbers separated by commas and ended by a newline, and each number is
  * what strtod reads in the "C" locale, except hex floats, "nan(...)" and
- * white space around it.  Stores the rows row-major into out, at most
- * max_rows of them, and *consumed = the bytes they take.  A last row with
- * no newline is left unread.  Each number goes through
+ * white space around it.  Stores column c of the r-th row parsed into
+ * cols[c][r0 + r], or nowhere when cols[c] is NULL, the column being
+ * parsed and checked all the same: the layout of cotrap_format_rows.
+ * Parses at most max_rows rows and sets *consumed = the bytes they take.
+ * A last row with no newline is left unread.  Each number goes through
  * cotrap_parse_decimal with the table pow10, and the few it cannot decide
  * through strtod_l in the "C" locale, which a call makes only when it
- * meets such a number.  Returns the number of rows stored, or -1 - r when
+ * meets such a number.  Returns the number of rows parsed, or -1 - r when
  * row r (counted from 0) is not n_cols numbers, *consumed then being the
  * offset of that row, or INT64_MIN when there is no "C" locale. */
 int64_t cotrap_parse_rows(const char *buf, int64_t len, int64_t n_cols,
-                          const uint64_t *pow10, double *out, int64_t max_rows,
-                          int64_t *consumed)
+                          const uint64_t *pow10, double *const *cols, int64_t r0,
+                          int64_t max_rows, int64_t *consumed)
 {
     locale_t c_locale = (locale_t)0;
     const char *row = buf, *stop = buf + len;
@@ -660,7 +662,8 @@ int64_t cotrap_parse_rows(const char *buf, int64_t len, int64_t n_cols,
             }
             if (*end != (c + 1 < n_cols ? ',' : '\n'))
                 goto bad;
-            out[n_cols * r + c] = v;
+            if (cols[c] != NULL)
+                cols[c][r0 + r] = v;
             p = end + 1;
         }
         row = eol + 1;

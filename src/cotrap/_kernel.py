@@ -3,13 +3,13 @@ the CSV number writer and reader.
 
 run_block integrates one block of samples on pre-generated noise arrays;
 sosfilt runs a signal through second-order sections; write_rows writes
-float columns as %.17g text and read_rows reads such rows back.  Each runs
-the C port in _kernel.c, compiled with the system compiler on the first
-call and cached in this package's __pycache__/, or, when that build fails,
-run_block_python, sosfilt_python, write_rows_python and read_rows_python,
-the references the C port matches bit for bit (byte for byte for the text,
-and with the same errors for the reader).  BACKEND and BUILD_ERROR record
-which one runs and why.
+float columns as %.17g text and read_rows reads such rows back into the
+columns asked for.  Each runs the C port in _kernel.c, compiled with the
+system compiler on the first call and cached in this package's
+__pycache__/, or, when that build fails, run_block_python, sosfilt_python,
+write_rows_python and read_rows_python, the references the C port matches
+bit for bit (byte for byte for the text, and with the same errors for the
+reader).  BACKEND and BUILD_ERROR record which one runs and why.
 
 normals(seed) draws the noise: the standard normals of
 numpy.random.Generator(PCG64(seed)), bit for bit.  The C build links
@@ -322,7 +322,7 @@ _C_FUNCTIONS = {
     "cotrap_format_g17": ("i", "DPP"),
     "cotrap_format_rows": ("I", "PIIIPPI"),
     "cotrap_parse_decimal": ("I", "SPP"),
-    "cotrap_parse_rows": ("I", "PIIPPIP"),
+    "cotrap_parse_rows": ("I", "PIIPPIIP"),
     "cotrap_pcg64_seed": ("V", "PP"),
     "cotrap_normal_fill": ("V", "PIP"),
 }
@@ -595,7 +595,7 @@ def normals(seed):
 
 
 def write_rows_python(fh, columns):
-    """Write the rows of equal-length float64 columns to the text file fh,
+    """Write the rows of equal-length float64 columns to the binary file fh,
     each value as %.17g, commas between values, a newline after each row."""
     np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",")
 
@@ -606,8 +606,9 @@ def write_rows(fh, columns):
     The C formatter writes the same bytes as np.savetxt, NaN of either sign
     as "nan" included: an exact 128-bit conversion for all but the few
     values whose rounding it cannot prove, and snprintf for those.  It
-    streams _WRITE_CHUNK_ROWS rows at a time through one reused buffer, so
-    the text of the whole file is never in memory.
+    streams _WRITE_CHUNK_ROWS rows at a time through one reused buffer,
+    handed to fh as a memoryview, so the text of the whole file is never in
+    memory and no chunk is copied on its way to fh.
     columns must be one or more 1-D arrays of one length, converted to
     float64; anything else raises ValueError, whichever backend runs.
     """
@@ -623,12 +624,13 @@ def write_rows(fh, columns):
     pointers = (ctypes.c_void_p * n_cols)(*(c.ctypes.data for c in columns))
     size = _WRITE_CHUNK_ROWS * n_cols * _VALUE_BYTES
     buf = ctypes.create_string_buffer(size)
+    view = memoryview(buf)
     for r0 in range(0, n_rows, _WRITE_CHUNK_ROWS):
         n = lib.cotrap_format_rows(pointers, n_cols, r0, min(r0 + _WRITE_CHUNK_ROWS, n_rows),
                                     _POW10.ctypes.data, buf, size)
         if n < 0:  # a full buffer, which _VALUE_BYTES rules out, or no "C" locale
             raise RuntimeError(f"write_rows: formatting rows from {r0} failed")
-        fh.write(ctypes.string_at(buf, n).decode("ascii"))
+        fh.write(view[:n])
 
 
 # one number of a data row: what strtod reads in the "C" locale, less hex
@@ -649,16 +651,31 @@ def _row_error(row, n_cols, why):
     return ValueError(f"data row {row} {reasons[why]}")
 
 
-def read_rows_python(fh, n_cols):
+def _kept(n_cols, keep):
+    """The column count and the set of column indices read_rows stores,
+    checked: keep=None stores every column."""
+    n_cols = operator.index(n_cols)
+    if n_cols < 1:
+        raise ValueError(f"read_rows: n_cols must be at least 1, got {n_cols}")
+    kept = set(range(n_cols)) if keep is None else {operator.index(i) for i in keep}
+    if not kept or not kept <= set(range(n_cols)):
+        raise ValueError(f"read_rows: keep must name one or more of the columns "
+                         f"0 to {n_cols - 1}, got {sorted(kept)}")
+    return n_cols, kept
+
+
+def read_rows_python(fh, n_cols, keep=None):
     """The rest of the binary file fh, rows of n_cols comma-separated
-    numbers each ended by a newline, as a (rows, n_cols) float64 array read
-    by np.loadtxt.
+    numbers each ended by a newline, read by np.loadtxt, as a list of
+    n_cols columns: column i a float64 array that owns its memory when i is
+    in keep (None, the default, keeps every column), else None.
 
     A row is checked before np.loadtxt sees it; the first row that does not
     fit in _READ_BUFFER_BYTES, has no newline or is not n_cols numbers
     raises ValueError.  So np.loadtxt never skips a blank or "#" line and
     never strips white space or a carriage return.
     """
+    n_cols, kept = _kept(n_cols, keep)
     pattern = re.compile(b",".join([_NUMBER] * n_cols) + b"\n")
 
     def checked(row, line):
@@ -673,46 +690,58 @@ def read_rows_python(fh, n_cols):
     lines = (checked(row, line) for row, line in enumerate(fh, 1))
     first = next(lines, None)
     if first is None:
-        return np.empty((0, n_cols))
-    return np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2)
+        data = np.empty((0, n_cols))
+    else:
+        data = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2)
+    return [data[:, i].copy() if i in kept else None for i in range(n_cols)]
 
 
-def read_rows(fh, n_cols):
-    """read_rows_python(fh, n_cols), parsed in C unless the C build failed.
+def read_rows(fh, n_cols, keep=None):
+    """read_rows_python(fh, n_cols, keep), parsed in C unless the C build failed.
 
     The C parser reads each plain decimal in one pass with an exact 128-bit
     conversion, on the writer's table of powers of ten, and hands the few
     numbers whose rounding it cannot prove, and inf and nan, to the C
     library's strtod in the "C" locale.  Both round correctly, as
-    np.loadtxt does.  It rejects what read_rows_python rejects, with the
-    same ValueError.  It reads fh through one reused buffer of
-    _READ_BUFFER_BYTES into an array sized for the most rows the rest of
-    the file can hold, two bytes per value, whose untouched pages never
-    become resident, and shrinks it in place at the end.  The text of the
-    whole file is never in memory.
+    np.loadtxt does.  It checks every number of every column, stored or
+    not, and rejects what read_rows_python rejects, with the same
+    ValueError.  It reads fh through one reused buffer of
+    _READ_BUFFER_BYTES and writes each value straight into the array of its
+    column, as write_rows reads them: one array per kept column, sized for
+    the most rows the rest of the file can hold, two bytes per value, whose
+    untouched pages never become resident, and shrunk in place at the end.
+    The text of the whole file is never in memory, nor a column not kept.
     """
     lib = _c_library()
-    n_cols = operator.index(n_cols)
-    if n_cols < 1:
-        raise ValueError(f"read_rows: n_cols must be at least 1, got {n_cols}")
+    n_cols, kept = _kept(n_cols, keep)
     if lib is None:
-        return read_rows_python(fh, n_cols)
+        return read_rows_python(fh, n_cols, kept)
     try:
         remaining = os.fstat(fh.fileno()).st_size - fh.tell()
-    except OSError:  # an in-memory file; like a pipe, whose size reads 0, it grows the array
+    except OSError:  # an in-memory file; like a pipe, whose size reads 0, it grows the columns
         remaining = 0
-    out = np.empty((max(remaining, 0) // (2 * n_cols), n_cols))
+    capacity = max(remaining, 0) // (2 * n_cols)
+    columns = [np.empty(capacity) if i in kept else None for i in range(n_cols)]
+    stored = [c for c in columns if c is not None]
+
+    def pointers():  # NULL for a column not kept
+        return (ctypes.c_void_p * n_cols)(*(c if c is None else c.ctypes.data for c in columns))
+
+    p_columns = pointers()
     buf = np.empty(_READ_BUFFER_BYTES, dtype=np.uint8)
     consumed = ctypes.c_int64()
     n_rows = carry = 0
     while got := fh.readinto(buf[carry:]):
         end = carry + got
         bound = n_rows + end // (2 * n_cols)
-        if bound > out.shape[0]:  # more than the file held when it was opened
-            out.resize((max(bound, 2 * out.shape[0]), n_cols), refcheck=False)
+        if bound > capacity:  # more than the file held when it was opened
+            capacity = max(bound, 2 * capacity)
+            for c in stored:
+                c.resize(capacity, refcheck=False)
+            p_columns = pointers()
         rows = lib.cotrap_parse_rows(buf.ctypes.data, end, n_cols, _POW10.ctypes.data,
-                                      out.ctypes.data + out.itemsize * n_cols * n_rows,
-                                      out.shape[0] - n_rows, ctypes.byref(consumed))
+                                      p_columns, n_rows, capacity - n_rows,
+                                      ctypes.byref(consumed))
         if rows == _NO_LOCALE:
             raise RuntimeError("read_rows: the C library has no \"C\" locale")
         if rows < 0:
@@ -724,5 +753,6 @@ def read_rows(fh, n_cols):
         buf[:carry] = buf[consumed.value:end]
     if carry:
         raise _row_error(n_rows + 1, n_cols, "cut")
-    out.resize((n_rows, n_cols), refcheck=False)
-    return out
+    for c in stored:
+        c.resize(n_rows, refcheck=False)
+    return columns

@@ -54,12 +54,12 @@ print("wrote plots")
 
 
 def _write_psd_csv(path, psd):
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         write_columns(fh, ("frequency_hz", "psd_m2_per_hz"), (psd.frequencies, psd.values))
 
 
 def _write_quadrature_csv(path, quad):
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         write_columns(fh, ("t_s", "x_m", "y_m"), (quad.t, quad.x, quad.y))
 
 
@@ -254,7 +254,8 @@ def cmd_sweep(args):
 
 
 def cmd_analyze(args):
-    traj = Trajectory.from_csv(args.trajectory)
+    # the columns analyze_trajectory reads; y only where the run recorded it
+    traj = Trajectory.from_csv(args.trajectory, fields=("z1", "z2", "y"))
     snap = traj.meta.get("config")
     if snap is None:
         raise ConfigError(f"{args.trajectory} carries no embedded configuration")

@@ -120,14 +120,18 @@ def total_energy(trap, p1, p2, z1, z2, v1, v2):
 
 
 def write_columns(fh, names, columns):
-    """Write equal-length float columns as comma-separated text under a
-    header line of column names.
+    """Write equal-length float columns to the binary file fh as
+    comma-separated text under a header line of column names.
 
     %.17g round-trips every float64 exactly through _kernel.read_rows, NaN
     as a NaN.
     """
-    fh.write(",".join(names) + "\n")
+    fh.write((",".join(names) + "\n").encode())
     _kernel.write_rows(fh, columns)
+
+
+# the array fields of a Trajectory that from_csv can read
+_FIELDS = ("z1", "z2", "v1", "v2", "y", "forces")
 
 
 @dataclass
@@ -139,7 +143,8 @@ class Trajectory:
     `forces` has one row per controller; both are None/empty for
     controller-free runs.  `meta` holds the seeds, integrator name and
     timestep; run_experiment adds the resolved configuration as
-    meta["config"].
+    meta["config"].  from_csv can leave v1, v2 and forces None, and such a
+    trajectory is not written back by to_csv.
     """
 
     sample_rate: float
@@ -173,6 +178,10 @@ class Trajectory:
 
     def to_csv(self, path):
         """Write a '#'-headered CSV; float formatting round-trips exactly."""
+        unread = [name for name in ("v1", "v2", "forces") if getattr(self, name) is None]
+        if unread:
+            raise ValueError(f"to_csv: this trajectory was read without its "
+                             f"{', '.join(unread)}, so its file would lack them")
         cols = [self.t, self.z1, self.z2, self.v1, self.v2]
         if self.y is not None:
             cols.append(self.y)
@@ -184,14 +193,25 @@ class Trajectory:
             "sample_rate_hz = " + repr(float(self.sample_rate)),
             "columns = " + ",".join(self.column_names()),
         ]
-        with open(path, "w") as fh:
-            for line in header:
-                fh.write("# " + line + "\n")
+        with open(path, "wb") as fh:
+            fh.write("".join(f"# {line}\n" for line in header).encode())
             write_columns(fh, self.column_names(), cols)
 
     @classmethod
-    def from_csv(cls, path):
-        """Read a file written by to_csv; a damaged file raises ConfigError."""
+    def from_csv(cls, path, fields=_FIELDS):
+        """Read a file written by to_csv; a damaged file raises ConfigError.
+
+        fields names the array fields to store, z1, z2 and y always among
+        them: by default all of them, which is what to_csv writes back.
+        Every column is parsed and checked, but only the columns of these
+        fields are kept in memory, and a field left out is None; the t
+        column never is kept, as t follows from sample_rate.  A file
+        without a y column gives y None, as for a run without it.
+        """
+        fields = tuple(fields)
+        if not {"z1", "z2", "y"} <= set(fields) <= set(_FIELDS):
+            raise ValueError(f"from_csv: fields must name z1, z2 and y and only fields of "
+                             f"{_FIELDS}, got {fields}")
         meta = {}
         sample_rate = None
         columns = None
@@ -215,27 +235,30 @@ class Trajectory:
                 if line != (",".join(columns) + "\n").encode():
                     raise ConfigError(f"{path}: damaged trajectory file (the row of column "
                                       f"names is not {','.join(columns)})")
-                data = _kernel.read_rows(fh, len(columns))
+                n_forces = sum(1 for name in columns if name.startswith("F"))
+                if columns != cls._columns("y" in columns, n_forces):
+                    raise ConfigError(f"{path}: damaged trajectory file "
+                                      f"(columns {','.join(columns)})")
+                field_of = ["forces" if name.startswith("F") else name for name in columns]
+                keep = [i for i, name in enumerate(field_of) if name in fields]
+                data = dict(zip(columns, _kernel.read_rows(fh, len(columns), keep)))
         except OSError as exc:  # missing, unreadable, a directory
             raise ConfigError(f"{path}: cannot read trajectory file ({exc.strerror or exc})") from None
         except ValueError as exc:  # a bad meta line, number or row
             raise ConfigError(f"{path}: damaged trajectory file ({exc})") from None
-        if data.shape[0] == 0:
+        n_rows = data["z1"].shape[0]
+        if n_rows == 0:
             raise ConfigError(f"{path}: damaged trajectory file (no data rows)")
-        n_forces = sum(1 for name in columns if name.startswith("F"))
-        if columns != cls._columns("y" in columns, n_forces):
-            raise ConfigError(f"{path}: damaged trajectory file (columns {','.join(columns)})")
-        cols = {name: data[:, i] for i, name in enumerate(columns)}
-        forces = np.array([cols[f"F{i}"] for i in range(n_forces)])
-        if n_forces == 0:
-            forces = np.zeros((0, data.shape[0]))
+        forces = None
+        if "forces" in fields:
+            forces = np.array([data[f"F{i}"] for i in range(n_forces)]).reshape(n_forces, n_rows)
         return cls(
             sample_rate=sample_rate,
-            z1=cols["z1"],
-            z2=cols["z2"],
-            v1=cols["v1"],
-            v2=cols["v2"],
-            y=cols.get("y"),
+            z1=data["z1"],
+            z2=data["z2"],
+            v1=data["v1"],
+            v2=data["v2"],
+            y=data.get("y"),
             forces=forces,
             meta=meta,
         )

@@ -117,8 +117,7 @@ def analyze_trajectory(traj, modes, p1, p2, settings, controllers=(),
     fs = traj.sample_rate
     burn = settings.burn_in if settings.burn_in is not None else traj.duration / 10.0
     i0 = min(int(burn * fs), len(traj.z1) - 2)
-    s1, s2 = traj.deviations(modes.z1_eq, modes.z2_eq)
-    s1, s2 = s1[i0:], s2[i0:]
+    s1, s2 = traj.z1[i0:] - modes.z1_eq, traj.z2[i0:] - modes.z2_eq
 
     nperseg = _nperseg(len(s1), fs, settings)
     kw = dict(segment_length=nperseg, overlap=settings.overlap)
@@ -248,8 +247,7 @@ def analyze_trajectory(traj, modes, p1, p2, settings, controllers=(),
         split = abs(modes.omega_minus - modes.omega_plus)
         bw = settings.demod_bandwidth if settings.demod_bandwidth is not None else split / 8.0
         gamma0 = max(p1.gamma0, p2.gamma0)
-        r1, r2 = reference.deviations(modes.z1_eq, modes.z2_eq)
-        r1, r2 = r1[i0:], r2[i0:]
+        r1, r2 = reference.z1[i0:] - modes.z1_eq, reference.z2[i0:] - modes.z2_eq
         corr_time = 2.0 / gamma0 if gamma0 > 0 else None
         demod = dict(mode_separation=split, gamma0=gamma0,
                      carrier=ana._carrier(len(s1), omega_t, fs))

@@ -3,6 +3,7 @@
 import ctypes
 import functools
 import io
+import itertools
 import os
 import random
 import shutil
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import sysconfig
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -516,7 +518,7 @@ def assert_same_text(got, expected):
         lines = zip(got.splitlines(), expected.splitlines())
         first = next((i for i, (a, b) in enumerate(lines) if a != b), None)
         if first is None:
-            pytest.fail(f"{len(got)} characters written, {len(expected)} expected")
+            pytest.fail(f"{len(got)} bytes written, {len(expected)} expected")
         pytest.fail(f"line {first + 1}: {got.splitlines()[first]!r} written, "
                     f"{expected.splitlines()[first]!r} expected")
 
@@ -538,17 +540,17 @@ class TestWriterParity:
         ]
         for columns in cases:
             names = [f"c{i}" for i in range(len(columns))]
-            expected = io.StringIO()
-            expected.write(",".join(names) + "\n")
+            expected = io.BytesIO()
+            expected.write((",".join(names) + "\n").encode())
             np.savetxt(expected, np.column_stack(columns), fmt="%.17g", delimiter=",")
-            got = io.StringIO()
+            got = io.BytesIO()
             dynamics.write_columns(got, names, columns)
             assert_same_text(got.getvalue(), expected.getvalue())
-        # real text files, as Trajectory.to_csv and the CLI writers open them
-        with open(tmp_path / "savetxt.csv", "w") as fh:
-            fh.write("a,b,c\n")
+        # real binary files, as Trajectory.to_csv and the CLI writers open them
+        with open(tmp_path / "savetxt.csv", "wb") as fh:
+            fh.write(b"a,b,c\n")
             np.savetxt(fh, np.column_stack(cases[0]), fmt="%.17g", delimiter=",")
-        with open(tmp_path / "written.csv", "w") as fh:
+        with open(tmp_path / "written.csv", "wb") as fh:
             dynamics.write_columns(fh, ["a", "b", "c"], cases[0])
         assert_same_text((tmp_path / "written.csv").read_bytes(),
                          (tmp_path / "savetxt.csv").read_bytes())
@@ -582,7 +584,7 @@ class TestWriterParity:
             fail_the_build(monkeypatch, tmp_path)
         for columns in ([], [np.zeros(3), np.zeros(4)], [np.zeros((3, 2))]):
             with pytest.raises(ValueError, match="write_rows: columns"):
-                _kernel.write_rows(io.StringIO(), columns)
+                _kernel.write_rows(io.BytesIO(), columns)
 
 
 def assert_same_values(got, expected):
@@ -591,6 +593,47 @@ def assert_same_values(got, expected):
     nan = np.isnan(expected)
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal(got[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+
+
+def assert_same_columns(got, expected, keep=None):
+    """got, the columns read_rows returned, holds the columns of expected
+    whose indices are in keep (all of them when keep is None), each one
+    C-contiguous and owning its memory, and None in place of the others."""
+    assert len(got) == expected.shape[1]
+    for i, column in enumerate(got):
+        if keep is not None and i not in keep:
+            assert column is None, i
+            continue
+        assert column.flags.c_contiguous and column.flags.owndata and column.base is None, i
+        assert_same_values(column, expected[:, i])
+
+
+def keeps(n_cols):
+    """Column subsets to read: all, the last alone, and every other one."""
+    return [None, [n_cols - 1], list(range(0, n_cols, 2))]
+
+
+class GrowingFile(io.FileIO):
+    """A binary file that `more` is appended to at its first read, after
+    read_rows has sized its columns for what it held when it was opened."""
+
+    def __init__(self, path, more):
+        super().__init__(path, "rb")
+        self.more = more
+
+    def grow(self):
+        if self.more:
+            with open(self.name, "ab") as fh:
+                fh.write(self.more)
+            self.more = b""
+
+    def readinto(self, b):
+        self.grow()
+        return super().readinto(b)
+
+    def read(self, size=-1):  # the fallback iterates over lines, which call read
+        self.grow()
+        return super().read(size)
 
 
 def read_on_both_backends(monkeypatch, read):
@@ -731,22 +774,47 @@ class TestReaderParity:
         for n_cols, data, expected in loadtxt_cases():
             # 126 bytes hold the longest 5-value row, 125 bytes and a newline;
             # small buffers split rows and numbers at every offset
-            for buffer_bytes in (_kernel._READ_BUFFER_BYTES, 126, 127, 1009):
+            for buffer_bytes, keep in itertools.product(
+                    (_kernel._READ_BUFFER_BYTES, 126, 127, 1009), keeps(n_cols)):
                 monkeypatch.setattr(_kernel, "_READ_BUFFER_BYTES", buffer_bytes)
-                got = _kernel.read_rows(io.BytesIO(data), n_cols)
-                assert_same_values(got, expected)
+                got = _kernel.read_rows(io.BytesIO(data), n_cols, keep)
+                assert_same_columns(got, expected, keep)
                 path = tmp_path / "rows.csv"
                 path.write_bytes(b"a,b\n" + data)
                 with open(path, "rb") as fh:
                     fh.readline()
-                    assert_same_values(_kernel.read_rows(fh, n_cols), expected)
+                    assert_same_columns(_kernel.read_rows(fh, n_cols, keep), expected, keep)
+        assert _kernel.BACKEND == backend.split("-")[0]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_columns_grow_with_the_file(self, monkeypatch, tmp_path, backend, variant_caches):
+        use_backend(monkeypatch, tmp_path, backend, variant_caches)
+        n_cols, data, expected = loadtxt_cases()[0]
+        cut = data.index(b"\n", len(data) // 10) + 1
+        path = tmp_path / "rows.csv"
+        for keep in keeps(n_cols):
+            path.write_bytes(data[:cut])
+            with GrowingFile(path, data[cut:]) as fh:
+                assert_same_columns(_kernel.read_rows(fh, n_cols, keep), expected, keep)
+        assert _kernel.BACKEND == backend.split("-")[0]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_unstored_columns_are_checked(self, monkeypatch, tmp_path, backend, variant_caches):
+        use_backend(monkeypatch, tmp_path, backend, variant_caches)
+        for col, token in itertools.product(range(5), ("1.5.2", "0x10", "", " 1")):
+            bad = ",".join(_ROW[:col] + [token] + _ROW[col + 1:]) + "\n"
+            text = (_row() + _row() + bad + _row()).encode()
+            for keep in (None, [i for i in range(5) if i != col], [4 if col < 4 else 0]):
+                with pytest.raises(ValueError) as exc:
+                    _kernel.read_rows(io.BytesIO(text), 5, keep)
+                assert str(exc.value) == "data row 3 is not 5 comma-separated numbers", (col, keep)
         assert _kernel.BACKEND == backend.split("-")[0]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_token_corpus_matches_loadtxt(self, monkeypatch, tmp_path, backend, variant_caches):
         use_backend(monkeypatch, tmp_path, backend, variant_caches)
         text, expected = reader_corpus()
-        assert_same_values(_kernel.read_rows(io.BytesIO(text.encode()), 5), expected)
+        assert_same_columns(_kernel.read_rows(io.BytesIO(text.encode()), 5), expected)
         assert _kernel.BACKEND == backend.split("-")[0]
 
     def test_fast_path_decides_trajectory_tokens(self, paper_trap, ref_pair):
@@ -754,12 +822,12 @@ class TestReaderParity:
             pytest.skip(f"no C compiler '{_kernel._CC}' on PATH")
         _kernel._load()
         traj = run(paper_trap, ref_pair, gamma0=28.0, duration=2.0, seed=10)
-        text = io.StringIO()
+        text = io.BytesIO()
         dynamics.write_columns(text, ["t", "z1", "z2", "v1", "v2"],
                                [traj.t, traj.z1, traj.z2, traj.v1, traj.v2])
         rng = np.random.default_rng(4)
         forces = rng.standard_normal(2000) * 1e-17
-        tokens = text.getvalue().replace("\n", ",").split(",")[5:-1]
+        tokens = text.getvalue().decode().replace("\n", ",").split(",")[5:-1]
         tokens += ["%.17g" % v for v in forces] + ["00001.5000", ".5", "5.", "-0"]
         value = ctypes.c_double()
 
@@ -812,6 +880,11 @@ class TestReaderParity:
             c, python = read_on_both_backends(
                 monkeypatch, lambda: _kernel.read_rows(io.BytesIO(b"1.5\n"), n_cols))
             assert c == python == f"read_rows: n_cols must be at least 1, got {n_cols}"
+        for keep in ([], [2], [-1], [0, 2]):
+            c, python = read_on_both_backends(
+                monkeypatch, lambda: _kernel.read_rows(io.BytesIO(b"1.5,2.5\n"), 2, keep))
+            assert c == python == (f"read_rows: keep must name one or more of the columns "
+                                   f"0 to 1, got {sorted(keep)}")
 
     def test_row_longer_than_the_buffer(self, monkeypatch):
         # a row fits when it is at most _READ_BUFFER_BYTES with its newline;
@@ -837,9 +910,73 @@ class TestReaderParity:
             if isinstance(outcome, str):
                 assert c == python == outcome, text
             else:
-                assert c.shape == (outcome, 3)
-                assert_same_values(python, c)
-                assert np.all(c == [1.5, 2.5, 3.5])
+                assert np.column_stack(c).shape == (outcome, 3)
+                assert_same_columns(python, np.column_stack(c))
+                assert np.all(np.column_stack(c) == [1.5, 2.5, 3.5])
+
+
+class TestTrajectoryColumns:
+    """Trajectory.from_csv keeps the columns it is asked for and nothing
+    more, and a trajectory read without some of them is not written back."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_round_trip_on_every_backend(self, monkeypatch, tmp_path, backend, variant_caches):
+        use_backend(monkeypatch, tmp_path, backend, variant_caches)
+        values = writer_inputs()
+        traj = Trajectory(sample_rate=2500.0, z1=values, z2=np.roll(values, 1),
+                          v1=np.roll(values, 2), v2=np.roll(values, 3), y=np.roll(values, 4),
+                          forces=np.array([np.roll(values, 5), np.roll(values, 6)]),
+                          meta={"seed": 1})
+        traj.to_csv(tmp_path / "traj.csv")
+        back = Trajectory.from_csv(tmp_path / "traj.csv")
+        for name in ("z1", "z2", "v1", "v2", "y", "forces"):
+            assert_same_values(getattr(back, name), getattr(traj, name))
+        assert back.sample_rate == traj.sample_rate and back.meta == traj.meta
+        back.to_csv(tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "traj.csv").read_bytes()
+
+        lean = Trajectory.from_csv(tmp_path / "traj.csv", fields=("z1", "z2", "y"))
+        for name in ("z1", "z2", "y"):
+            assert_same_values(getattr(lean, name), getattr(traj, name))
+        assert lean.v1 is None and lean.v2 is None and lean.forces is None
+        with pytest.raises(ValueError, match="read without its v1, v2, forces"):
+            lean.to_csv(tmp_path / "lean.csv")
+        assert not (tmp_path / "lean.csv").exists()
+        assert _kernel.BACKEND == backend.split("-")[0]
+
+    def test_fields_the_file_lacks(self, tmp_path):
+        n = 3
+        traj = Trajectory(sample_rate=2500.0, z1=np.zeros(n), z2=np.ones(n), v1=np.zeros(n),
+                          v2=np.zeros(n), y=None, forces=np.zeros((0, n)), meta={})
+        traj.to_csv(tmp_path / "free.csv")
+        back = Trajectory.from_csv(tmp_path / "free.csv", fields=("z1", "z2", "y", "forces"))
+        assert back.y is None and back.forces.shape == (0, n) and back.v1 is None
+        with pytest.raises(ValueError, match="read without its v1, v2, so"):
+            back.to_csv(tmp_path / "back.csv")
+        for fields in (("z2", "y"), ("z1", "z2"), ("z1", "z2", "y", "t"), ("z1", "z2", "y", "F0")):
+            with pytest.raises(ValueError, match="from_csv: fields must name z1, z2 and y"):
+                Trajectory.from_csv(tmp_path / "free.csv", fields=fields)
+
+    @pytest.mark.parametrize("backend", ["c", "python"])
+    def test_analysis_read_keeps_two_columns(self, monkeypatch, tmp_path, backend):
+        if backend == "python":
+            fail_the_build(monkeypatch, tmp_path)
+        n = 50000
+        rng = np.random.default_rng(8)
+        z1, z2, v1, v2 = rng.standard_normal((4, n)) * 1e-6
+        Trajectory(sample_rate=2500.0, z1=z1, z2=z2 + 1e-4, v1=v1, v2=v2, y=None,
+                   forces=np.zeros((0, n)), meta={"seed": 1}).to_csv(tmp_path / "traj.csv")
+        _kernel._c_library()  # the build and the table of powers of ten, before tracing
+        tracemalloc.start()
+        try:
+            traj = Trajectory.from_csv(tmp_path / "traj.csv", fields=("z1", "z2", "y"))
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(traj.z1, z1) and traj.v1 is None
+        # the two position columns, not the five of the file
+        assert kept < 2 * 8 * n + (1 << 16), kept
+        assert _kernel.BACKEND == backend
 
 
 # numpy's ziggurat for the normal distribution draws beyond this radius
