@@ -1,7 +1,7 @@
 /* Inner integration and controller loops, a C port of run_block_python,
  * controller_step and sosfilt_python in _kernel.py, the PCG64 generator
- * behind normals, the %.17g text formatter behind write_rows and the
- * number parser behind read_rows.
+ * behind normals (on a compiler with unsigned __int128), the %.17g text
+ * formatter behind write_rows and the number parser behind read_rows.
  *
  * Every floating-point operation is the one the Python reference does, in
  * the same order, so that with -ffp-contract=off (no fused multiply-add)
@@ -190,39 +190,22 @@ typedef unsigned __int128 u128;
 #endif
 
 /* PCG64 as numpy.random.PCG64 implements it, and the normal fill over it,
- * built only when _kernel.py links numpy's archive, which holds the fill.
- * A 128-bit linear congruential state advances by state = state *
- * PCG_MULT + inc, and each word is the XSL-RR output of the advanced
+ * built only when _kernel.py links numpy's archive, which holds the fill,
+ * and the compiler has 128-bit integers; otherwise numpy.random draws the
+ * normals.  A 128-bit linear congruential state advances by state = state
+ * * PCG_MULT + inc, and each word is the XSL-RR output of the advanced
  * state.  A state is four words, the high and low halves of state and then
- * of inc.  A compiler without 128-bit integers takes the same steps in
- * 64-bit halves. */
-#ifdef COTRAP_NPYRANDOM
+ * of inc. */
+#if defined(COTRAP_NPYRANDOM) && defined(__SIZEOF_INT128__)
 #define PCG_MULT_HI 0x2360ED051FC65DA4ULL
 #define PCG_MULT_LO 0x4385DF649FCCF645ULL
 
 static void pcg64_step(uint64_t *st)
 {
-#ifdef __SIZEOF_INT128__
     u128 s = (u128)st[0] << 64 | st[1];
     s = s * ((u128)PCG_MULT_HI << 64 | PCG_MULT_LO) + ((u128)st[2] << 64 | st[3]);
     st[0] = (uint64_t)(s >> 64);
     st[1] = (uint64_t)s;
-#else
-    /* the full 128-bit product of the low words from 32-bit halves; the
-     * cross terms only reach the high word */
-    uint64_t a = st[1], b = PCG_MULT_LO;
-    uint64_t p0 = (a & 0xFFFFFFFFu) * (b & 0xFFFFFFFFu);
-    uint64_t p1 = (a & 0xFFFFFFFFu) * (b >> 32);
-    uint64_t p2 = (a >> 32) * (b & 0xFFFFFFFFu);
-    uint64_t p3 = (a >> 32) * (b >> 32);
-    uint64_t mid = (p0 >> 32) + (p1 & 0xFFFFFFFFu) + (p2 & 0xFFFFFFFFu);
-    uint64_t lo = mid << 32 | (p0 & 0xFFFFFFFFu);
-    uint64_t hi = p3 + (p1 >> 32) + (p2 >> 32) + (mid >> 32)
-                  + st[0] * PCG_MULT_LO + st[1] * PCG_MULT_HI;
-    lo += st[3];
-    st[0] = hi + st[2] + (lo < st[3]);
-    st[1] = lo;
-#endif
 }
 
 static uint64_t pcg64_next64(void *state)

@@ -15,10 +15,11 @@ normals(seed) draws the noise: the standard normals of
 numpy.random.Generator(PCG64(seed)), bit for bit.  The C build links
 numpy's own normal fill from its archive _NPYRANDOM, found beside numpy,
 and runs it over a PCG64 in _kernel.c, so a run imports no numpy.random.
-On the Python fallback, or when that archive is missing or does not link
-(the kernel then builds without it), numpy.random draws them.  SeedSequence
-is numpy's SeedSequence for integer entropy in pure Python, so deriving
-seeds needs no numpy.random either.  The cache key is a zlib checksum, so
+On the Python fallback, when that archive is missing or does not link
+(the kernel then builds without it), or when the compiler has no unsigned
+__int128, numpy.random draws them.  SeedSequence is numpy's SeedSequence
+for integer entropy in pure Python, so deriving seeds needs no
+numpy.random either.  The cache key is a zlib checksum, so
 neither loads OpenSSL, which hashlib and numpy.random's secrets would.
 
 Controller state is one argument, ctrl, a KernelControllerSet, with one row
@@ -339,7 +340,7 @@ def _load():
         lib = ctypes.CDLL(str(path))
         for name, (result, params) in _C_FUNCTIONS.items():
             if name in ("cotrap_pcg64_seed", "cotrap_normal_fill") and not hasattr(lib, name):
-                continue  # a build without numpy's archive
+                continue  # a build without numpy's archive or unsigned __int128
             fn = getattr(lib, name)
             fn.restype, fn.argtypes = _C_TYPES[result], [_C_TYPES[k] for k in params]
     except OSError as exc:  # no compiler, a failed compile, an unwritable cache, a bad file
@@ -580,7 +581,7 @@ def normals(seed):
     numpy.random.Generator(PCG64(seed)), seed an integer or a SeedSequence
     of this module, with its standard_normal(size=None, out=None).
 
-    On the C backend, when the build linked numpy's archive, it draws in C
+    On the C backend, when the build has cotrap_normal_fill, it draws in C
     without importing numpy.random; otherwise it is that numpy Generator.
     """
     if not isinstance(seed, SeedSequence):

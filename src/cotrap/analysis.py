@@ -387,12 +387,16 @@ class QuadratureTrace:
     """Slowly varying quadratures of a mode: z(t) ~ X cos(wt) + Y sin(wt),
     with X and Y the rows of the (2, n) array xy."""
 
-    t: np.ndarray
     xy: np.ndarray
     omega: float
     bandwidth: float
     sample_rate: float
     settle_samples: int
+
+    @property
+    def t(self):
+        """Sample times, the t of demodulate's carrier."""
+        return np.arange(1, self.xy.shape[1] + 1) / self.sample_rate
 
     @property
     def x(self):
@@ -431,11 +435,10 @@ def _butter4_sos(wn):
 
 
 def _carrier(n, omega, sample_rate):
-    """(t, cos(omega t), sin(omega t)) of demodulate over n samples, with t
-    read-only, for calls that share one length, omega and sample rate."""
+    """(cos(omega t), sin(omega t)) of demodulate over n samples, for
+    calls that share one length, omega and sample rate."""
     t = np.arange(1, n + 1) / sample_rate
-    t.flags.writeable = False
-    return t, np.cos(omega * t), np.sin(omega * t)
+    return np.cos(omega * t), np.sin(omega * t)
 
 
 def demodulate(trace, omega, lowpass_bandwidth, sample_rate, *,
@@ -468,7 +471,7 @@ def demodulate(trace, omega, lowpass_bandwidth, sample_rate, *,
         raise AnalysisError("demodulation frequency outside (0, Nyquist)")
     if lowpass_bandwidth >= nyq:
         raise AnalysisError("lowpass bandwidth must be below the Nyquist frequency")
-    t, cos_wt, sin_wt = carrier or _carrier(len(z), omega, sample_rate)
+    cos_wt, sin_wt = carrier or _carrier(len(z), omega, sample_rate)
     sos = _butter4_sos(lowpass_bandwidth / nyq)
     z2 = 2.0 * z
     xy = np.empty((2, len(z)))
@@ -476,8 +479,8 @@ def demodulate(trace, omega, lowpass_bandwidth, sample_rate, *,
         _kernel.sosfilt(sos, np.multiply(z2, wave, out=row), out=row)
     settle = min(int(10.0 * sample_rate * 2.0 * math.pi / lowpass_bandwidth), len(z))
     return QuadratureTrace(
-        t=t, xy=xy, omega=omega, bandwidth=lowpass_bandwidth,
-        sample_rate=sample_rate, settle_samples=settle,
+        xy=xy, omega=omega, bandwidth=lowpass_bandwidth, sample_rate=sample_rate,
+        settle_samples=settle,
     )
 
 

@@ -73,7 +73,11 @@ def _write_report(outdir, report):
 
 def _outdir(args):
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a regular file there, no permission, a read-only disk
+        raise ConfigError(f"option '--out': cannot create directory {out}: "
+                          f"{exc.strerror or exc}") from None
     return out
 
 

@@ -59,21 +59,14 @@ def run_experiment(config):
     modes = mode_structure(trap, p1, p2)
     controllers = resolve_controllers(config, modes)
     run = config.run
-    traj = simulate(
-        trap, p1, p2, config.noise, controllers,
-        duration=run.duration, dt=run.dt, sample_rate=run.sample_rate,
-        detection=config.detection, store_every=run.store_every,
-        coulomb_coupling=run.coulomb_coupling,
-    )
+    sim = dict(duration=run.duration, dt=run.dt, sample_rate=run.sample_rate,
+               detection=config.detection, store_every=run.store_every,
+               coulomb_coupling=run.coulomb_coupling)
+    traj = simulate(trap, p1, p2, config.noise, controllers, **sim)
     traj.meta["config"] = config.resolved
     reference = None
     if any(c.kind == "parametric_squeezer" for c in controllers):
-        reference = simulate(
-            trap, p1, p2, config.noise, [],
-            duration=run.duration, dt=run.dt, sample_rate=run.sample_rate,
-            detection=config.detection, store_every=run.store_every,
-            coulomb_coupling=run.coulomb_coupling,
-        )
+        reference = simulate(trap, p1, p2, config.noise, [], **sim)
     report, psds, quads = analyze_trajectory(
         traj, modes, p1, p2, config.analysis, controllers=controllers,
         reference=reference,
@@ -184,11 +177,9 @@ def analyze_trajectory(traj, modes, p1, p2, settings, controllers=(),
                             ("particle2", psds["particle2"], p2.mass)):
         for mode_name, band, omega in (("plus", band_p, modes.omega_plus),
                                        ("minus", band_m, modes.omega_minus)):
-            power = psd.band_power(*band)
-            sigma = psd.band_power_sigma(*band)
-            scale = mass * omega**2 / K_B
+            temp = ana.mode_temperature(psd, mass, omega, band)
             report["measured"][f"t_{name}_{mode_name}_kelvin"] = entry(
-                scale * power, scale * sigma
+                temp.kelvin, temp.sigma_kelvin
             )
 
     if traj.y is not None:

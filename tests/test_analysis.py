@@ -285,8 +285,6 @@ class TestDemodulate:
         carrier = _carrier(len(z), omega, FS)
         alone = demodulate(z, omega, 2 * np.pi * 10.0, FS)
         shared = demodulate(z, omega, 2 * np.pi * 10.0, FS, carrier=carrier)
-        assert shared.t is carrier[0]
-        assert not shared.t.flags.writeable
         for name in ("t", "x", "y"):
             assert np.array_equal(getattr(shared, name), getattr(alone, name)), name
 
@@ -307,9 +305,8 @@ class TestSqueezingDb:
         from cotrap.analysis import QuadratureTrace
 
         return QuadratureTrace(
-            t=np.arange(1, n + 1) / FS, xy=np.array([c * x - s * y, s * x + c * y]),
-            omega=2 * np.pi * 300.0, bandwidth=100.0, sample_rate=FS,
-            settle_samples=0,
+            xy=np.array([c * x - s * y, s * x + c * y]), omega=2 * np.pi * 300.0,
+            bandwidth=100.0, sample_rate=FS, settle_samples=0,
         )
 
     def test_thermal_state_zero_db(self):

@@ -734,3 +734,24 @@ class TestCliAnalyze:
         for path in (tmp_path / "nonexistent.csv", tmp_path):
             assert main(["analyze", str(path), "--out", str(tmp_path / "an")]) == 2, path
             assert f"{path}: cannot read trajectory file" in capsys.readouterr().err
+
+
+class TestCliOut:
+    def test_out_that_is_a_file_exit_code(self, tmp_path):
+        raw = base_config()
+        raw["run"]["duration_seconds"] = 2.0
+        raw["sweep"] = {"parameter": "noise.t0_kelvin", "values": [293.0]}
+        path = write_config(tmp_path, raw)
+        run_out = tmp_path / "run"
+        assert main(["simulate", "--config", str(path), "--out", str(run_out)]) == 0
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        commands = [["modes", "--config", str(path)], ["simulate", "--config", str(path)],
+                    ["sweep", "--config", str(path)], ["analyze", str(run_out / "trajectory.csv")]]
+        cases = [(args, blocker) for args in commands] + [(commands[0], blocker / "sub")]
+        for args, out in cases:
+            proc = run_cli(*args, "--out", str(out))
+            assert proc.returncode == 2, (args, out, proc.stderr)
+            assert "Traceback" not in proc.stderr, (args, out)
+            assert f"option '--out': cannot create directory {out}: " in proc.stderr, (args, out)
+        assert blocker.read_text() == "kept"

@@ -477,8 +477,9 @@ def writer_inputs():
 def build_variant(monkeypatch, cache, backend):
     """Make the next kernel call build _kernel.c into cache as backend says:
     "c-without-int128" as a compiler without unsigned __int128 would, which
-    leaves every value to snprintf, or "c-without-npyrandom" with numpy's
-    archive made missing, which leaves the normals to numpy.random."""
+    leaves every value to snprintf and the normals to numpy.random, or
+    "c-without-npyrandom" with numpy's archive made missing, which leaves
+    the normals to numpy.random."""
     if backend == "c-without-int128":
         monkeypatch.setattr(_kernel, "_CFLAGS", _kernel._CFLAGS + ("-U__SIZEOF_INT128__",))
     else:
@@ -1046,7 +1047,7 @@ class TestNoise:
             assert isinstance(x, float) and x == expected.standard_normal()
         assert np.array_equal(_kernel.normals(7).standard_normal(5),
                               np.random.Generator(np.random.PCG64(7)).standard_normal(5))
-        drawn_in_c = backend in ("c", "c-without-int128") and _kernel._NPYRANDOM.is_file()
+        drawn_in_c = backend == "c" and _kernel._NPYRANDOM.is_file()
         assert isinstance(gen, np.random.Generator) != drawn_in_c
         assert _kernel.BACKEND == backend.split("-")[0]
 

@@ -9,7 +9,8 @@ cache:
   c                     the C kernel linked with numpy's normal fill
   python                the Python fallback (the compiler made missing)
   c-without-int128      the C kernel built as a compiler without unsigned
-                        __int128 would build it
+                        __int128 would build it, so numpy.random draws the
+                        noise
   c-without-npyrandom   the C kernel with numpy's archive made missing, so
                         numpy.random draws the noise
 
@@ -36,7 +37,8 @@ from pathlib import Path
 BACKENDS = ("c", "python", "c-without-int128", "c-without-npyrandom")
 
 # argv: backend, private cache directory, then the CLI arguments.  Fails
-# when the kernel that ran is not the one asked for.
+# when the kernel that ran is not the one asked for; a build without
+# __int128 has no normal fill, so it runs as c-without-npyrandom.
 _BOOT = """
 import sys
 from pathlib import Path
@@ -54,7 +56,7 @@ if _kernel.BACKEND is not None:  # None in a sweep's parent, whose workers ran t
     ran = _kernel.BACKEND
     if ran == "c" and hasattr(_kernel, "normals"):
         ran += "" if hasattr(_kernel._lib, "cotrap_normal_fill") else "-without-npyrandom"
-    if ran != backend.replace("-without-int128", ""):
+    if ran != backend.replace("-without-int128", "-without-npyrandom"):
         sys.exit(f"asked for the {backend} backend, {ran} ran")
 sys.exit(code)
 """
