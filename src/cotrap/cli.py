@@ -2,7 +2,7 @@
 
 Subcommands: modes (closed-form theory tables), simulate (one run plus
 analysis outputs), sweep (one run per parameter value, aggregated CSV),
-analyze (re-run the analysis pipeline on a stored trajectory).
+analyze (the report and numeric files of simulate, from a stored trajectory).
 
 Exit codes: 0 success, 2 configuration error, 3 runtime fault,
 4 partial sweep failure.
@@ -21,7 +21,8 @@ from . import _kernel
 from .config import load_config, parse_config, serialize_config
 from .dynamics import Trajectory, write_columns
 from .errors import ConfigError, CotrapError
-from .report import analyze_trajectory, report_to_text, run_experiment
+# cotrap_bench/tracer.py wraps analyze_trajectory here too; report calls it
+from .report import analyze_trajectory, report_to_text, run_experiment  # noqa: F401
 from .trap import mode_structure, stability_params
 
 _PLOT_STUB = """\
@@ -53,14 +54,22 @@ print("wrote plots")
 """
 
 
-def _write_psd_csv(path, psd):
-    with open(path, "wb") as fh:
-        write_columns(fh, ("frequency_hz", "psd_m2_per_hz"), (psd.frequencies, psd.values))
+def _csv_table(result):
+    """(file name, header, columns) of each numeric CSV of a result."""
+    for name, psd in result.psds.items():
+        yield f"psd_{name}.csv", ("frequency_hz", "psd_m2_per_hz"), (psd.frequencies, psd.values)
+    for name, pair in result.quadratures.items():
+        for suffix, quad in zip(("", "_reference"), pair):
+            yield f"quadratures_{name}{suffix}.csv", ("t_s", "x_m", "y_m"), (quad.t, quad.x, quad.y)
 
 
-def _write_quadrature_csv(path, quad):
+def _write_csv(path, header, columns):
     with open(path, "wb") as fh:
-        write_columns(fh, ("t_s", "x_m", "y_m"), (quad.t, quad.x, quad.y))
+        write_columns(fh, header, columns)
+
+
+# one writer under the two names cotrap_bench/tracer.py times apart
+_write_psd_csv = _write_quadrature_csv = _write_csv
 
 
 def _write_report(outdir, report):
@@ -69,6 +78,14 @@ def _write_report(outdir, report):
         fh.write("\n")
     with open(outdir / "report.txt", "w") as fh:
         fh.write(report_to_text(report))
+
+
+def _write_result(outdir, result):
+    """Write what `analyze` writes: every file of _csv_table and the report."""
+    for name, header, columns in _csv_table(result):
+        write = _write_psd_csv if name.startswith("psd_") else _write_quadrature_csv
+        write(outdir / name, header, columns)
+    _write_report(outdir, result.report)
 
 
 def _outdir(args):
@@ -83,12 +100,10 @@ def _outdir(args):
 
 def cmd_modes(args):
     cfg = load_config(args.config, seed_override=args.seed)
-    trap = cfg.trap
-    p1, p2 = cfg.particles
-    modes = mode_structure(trap, p1, p2)
-    record = modes.to_record()
-    for i, p in enumerate((p1, p2), start=1):
-        sp = stability_params(trap, p)
+    out = _outdir(args) if args.out is not None else None
+    record = mode_structure(cfg.trap, *cfg.particles).to_record()
+    for i, p in enumerate(cfg.particles, start=1):
+        sp = stability_params(cfg.trap, p)
         record[f"particle{i}_q_x"] = sp.q_x
         record[f"particle{i}_a_x"] = sp.a_x
         record[f"particle{i}_a_z"] = sp.a_z
@@ -97,19 +112,15 @@ def cmd_modes(args):
         record[f"particle{i}_secular_valid"] = sp.secular_valid
     text = report_to_text(record)
     print(text, end="")
-    if args.out is not None:
-        (_outdir(args) / "modes.txt").write_text(text)
+    if out is not None:
+        (out / "modes.txt").write_text(text)
     return 0
 
 
 def _write_run_outputs(outdir, cfg, result):
+    """Write what `simulate` writes: _write_result's files and the run's own."""
     result.trajectory.to_csv(outdir / "trajectory.csv")
-    for name, psd in result.psds.items():
-        _write_psd_csv(outdir / f"psd_{name}.csv", psd)
-    for name, (q_on, q_off) in result.quadratures.items():
-        _write_quadrature_csv(outdir / f"quadratures_{name}.csv", q_on)
-        _write_quadrature_csv(outdir / f"quadratures_{name}_reference.csv", q_off)
-    _write_report(outdir, result.report)
+    _write_result(outdir, result)
     with open(outdir / "resolved_config.json", "w") as fh:
         fh.write(serialize_config(cfg))
     with open(outdir / "plot_results.py", "w") as fh:
@@ -165,13 +176,9 @@ def _sweep_one(raw, path, value, rundir):
     return result.report
 
 
-_SWEEP_COLUMNS = (
-    ("t_mode_plus_kelvin", "measured"),
-    ("t_mode_minus_kelvin", "measured"),
-    ("t_inloop_plus_kelvin", "measured"),
-    ("f_plus_hz", "measured"),
-    ("f_minus_hz", "measured"),
-)
+# the report's "measured" entries that sweep.csv tabulates
+_SWEEP_COLUMNS = ("t_mode_plus_kelvin", "t_mode_minus_kelvin", "t_inloop_plus_kelvin",
+                  "f_plus_hz", "f_minus_hz")
 
 
 def _sweep_row(value, report, error=None):
@@ -179,8 +186,8 @@ def _sweep_row(value, report, error=None):
     if error is not None:
         row["error"] = f"{type(error).__name__}: {error}"
         return row
-    for key, section in _SWEEP_COLUMNS:
-        item = report.get(section, {}).get(key)
+    for key in _SWEEP_COLUMNS:
+        item = report["measured"].get(key)
         if item is not None:
             row[key] = item["value"]
             if "sigma" in item:
@@ -242,11 +249,8 @@ def cmd_sweep(args):
         rows = [_sweep_point(value, rundir, fut)
                 for (_, _, value, rundir), fut in zip(jobs, futures)]
     failures = sum(row["status"] != "ok" for row in rows)
-    columns = ["value", "status"]
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
+    # every row starts with value and status; the rest in first-seen order
+    columns = list(dict.fromkeys(key for row in rows for key in row))
     # repr() of every cell; csv quotes the cells that hold a comma
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -258,19 +262,15 @@ def cmd_sweep(args):
 
 
 def cmd_analyze(args):
+    out = _outdir(args)
     # the columns analyze_trajectory reads; y only where the run recorded it
     traj = Trajectory.from_csv(args.trajectory, fields=("z1", "z2", "y"))
     snap = traj.meta.get("config")
     if snap is None:
         raise ConfigError(f"{args.trajectory} carries no embedded configuration")
-    cfg = parse_config(snap)
-    modes = mode_structure(cfg.trap, *cfg.particles)
-    report, psds, _ = analyze_trajectory(traj, modes, *cfg.particles, cfg.analysis)
-    out = _outdir(args)
-    for name, psd in psds.items():
-        _write_psd_csv(out / f"psd_{name}.csv", psd)
-    _write_report(out, report)
-    print(report_to_text(report), end="")
+    result = run_experiment(parse_config(snap), trajectory=traj)
+    _write_result(out, result)
+    print(report_to_text(result.report), end="")
     return 0
 
 

@@ -173,29 +173,23 @@ class Trajectory:
     def _columns(has_y, n_forces):
         return ["t", "z1", "z2", "v1", "v2"] + ["y"] * has_y + [f"F{i}" for i in range(n_forces)]
 
-    def column_names(self):
-        return self._columns(self.y is not None, self.forces.shape[0])
-
     def to_csv(self, path):
         """Write a '#'-headered CSV; float formatting round-trips exactly."""
         unread = [name for name in ("v1", "v2", "forces") if getattr(self, name) is None]
         if unread:
             raise ValueError(f"to_csv: this trajectory was read without its "
                              f"{', '.join(unread)}, so its file would lack them")
-        cols = [self.t, self.z1, self.z2, self.v1, self.v2]
-        if self.y is not None:
-            cols.append(self.y)
-        for i in range(self.forces.shape[0]):
-            cols.append(self.forces[i])
+        names = self._columns(self.y is not None, self.forces.shape[0])
+        cols = [self.t, self.z1, self.z2, self.v1, self.v2] + [self.y] * (self.y is not None)
         header = [
             f"trajectory-format {_FORMAT_VERSION}",
             "meta = " + json.dumps(self.meta, sort_keys=True),
             "sample_rate_hz = " + repr(float(self.sample_rate)),
-            "columns = " + ",".join(self.column_names()),
+            "columns = " + ",".join(names),
         ]
         with open(path, "wb") as fh:
             fh.write("".join(f"# {line}\n" for line in header).encode())
-            write_columns(fh, self.column_names(), cols)
+            write_columns(fh, names, cols + list(self.forces))
 
     @classmethod
     def from_csv(cls, path, fields=_FIELDS):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from . import analysis as ana
 from .constants import K_B
 from .dynamics import simulate
-from .errors import AnalysisError
-from .feedback import design_controller, parametric_threshold
+from .errors import AnalysisError, ConfigError
+from .feedback import _MODE_KEYS, design_controller, parametric_threshold
 from .trap import mode_structure
 
 __all__ = ["ExperimentResult", "resolve_controllers", "run_experiment",
@@ -40,19 +40,25 @@ class ExperimentResult:
 
 def resolve_controllers(config, modes):
     """Design ControllerConfigs for the raw controller requests."""
-    return [
-        design_controller(modes=modes, sample_rate=config.run.sample_rate,
-                          mass=config.particles[0].mass, **cs)
-        for cs in config.controllers
-    ]
+    designed = []
+    for i, cs in enumerate(config.controllers):
+        try:
+            designed.append(design_controller(modes=modes, sample_rate=config.run.sample_rate,
+                                              mass=config.particles[0].mass, **cs))
+        except ConfigError as exc:  # the modes or the Nyquist rate cannot carry it
+            raise ConfigError(f"section 'controllers[{i}]': {exc}; the Nyquist rate is "
+                              f"pi * 'sample_rate_hz', and the mode frequencies come "
+                              f"from {_MODE_KEYS}") from None
+    return designed
 
 
-def run_experiment(config):
+def run_experiment(config, trajectory=None):
     """Simulate, analyze, and report one configured run.
 
-    When a parametric squeezer is configured, an additional drive-off run
-    with identical seeds provides the thermal reference for the squeezing
-    figures.
+    trajectory is the drive-on pass when it is at hand (`cotrap analyze`),
+    else it is simulated.  When a parametric squeezer is configured, a
+    drive-off run with identical seeds provides the thermal reference for
+    the squeezing figures, so a stored run gets the report it was written with.
     """
     trap = config.trap
     p1, p2 = config.particles
@@ -62,16 +68,18 @@ def run_experiment(config):
     sim = dict(duration=run.duration, dt=run.dt, sample_rate=run.sample_rate,
                detection=config.detection, store_every=run.store_every,
                coulomb_coupling=run.coulomb_coupling)
-    traj = simulate(trap, p1, p2, config.noise, controllers, **sim)
-    traj.meta["config"] = config.resolved
+    if trajectory is None:
+        trajectory = simulate(trap, p1, p2, config.noise, controllers, **sim)
+        trajectory.meta["config"] = config.resolved
     reference = None
     if any(c.kind == "parametric_squeezer" for c in controllers):
         reference = simulate(trap, p1, p2, config.noise, [], **sim)
-    report, psds, quads = analyze_trajectory(
-        traj, modes, p1, p2, config.analysis, controllers=controllers,
-        reference=reference,
-    )
-    return ExperimentResult(trajectory=traj, report=report, psds=psds, quadratures=quads)
+        if len(reference.z1) != len(trajectory.z1):  # a stored file cut at a row
+            raise ConfigError(f"the trajectory has {len(trajectory.z1)} samples, where its "
+                              f"configuration simulates {len(reference.z1)} for the reference")
+    # analyze_trajectory returns the report, psds and quadratures, in field order
+    return ExperimentResult(trajectory, *analyze_trajectory(
+        trajectory, modes, p1, p2, config.analysis, controllers=controllers, reference=reference))
 
 
 def _mode_effective_mass(modes, which, m1, m2):
@@ -277,11 +285,8 @@ def _require_finite(node, name=""):
 def _flatten(prefix, obj, lines):
     if isinstance(obj, dict):
         if "value" in obj and ("sigma" in obj or obj.get("exact")):
-            val = obj["value"]
-            if obj.get("exact"):
-                lines.append(f"{prefix} = {val!r} (exact)")
-            else:
-                lines.append(f"{prefix} = {val!r} +- {obj['sigma']!r}")
+            spread = "(exact)" if obj.get("exact") else f"+- {obj['sigma']!r}"
+            lines.append(f"{prefix} = {obj['value']!r} {spread}")
             return
         for key in obj:
             _flatten(f"{prefix}.{key}" if prefix else str(key), obj[key], lines)

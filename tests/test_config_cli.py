@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 from cotrap import _kernel, cli
+from cotrap import report as report_module
 from cotrap.cli import main
 from cotrap.config import parse_config, serialize_config
 from cotrap.dynamics import Trajectory
-from cotrap.errors import AnalysisError, ConfigError
+from cotrap.errors import AnalysisError, ConfigError, IntegrationFault
 from cotrap.report import _require_finite
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -683,20 +684,130 @@ class TestCliSweep:
         assert len((out / "sweep.csv").read_text().splitlines()) == 4
 
 
+def short_run_config(name, seconds):
+    """A configs/ file cut to the given duration, without its sweep section."""
+    raw = json.loads((CONFIG_DIR / name).read_text())
+    raw.pop("sweep", None)
+    raw["run"]["duration_seconds"] = seconds
+    return raw
+
+
+def embedded_config(trajectory):
+    """The configuration a trajectory.csv carries in its meta line."""
+    line = next(line for line in trajectory.read_text().splitlines()
+                if line.startswith("# meta = "))
+    return json.loads(line[len("# meta = "):])["config"]
+
+
+def replace_embedded_config(trajectory, raw):
+    lines = trajectory.read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith("# meta = "))
+    meta = json.loads(lines[i][len("# meta = "):])
+    meta["config"] = raw
+    lines[i] = "# meta = " + json.dumps(meta, sort_keys=True) + "\n"
+    trajectory.write_text("".join(lines))
+
+
+def counting_simulate(monkeypatch):
+    """Count the passes report.simulate runs from now on."""
+    calls = []
+    simulate = report_module.simulate
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])  # the controllers of the pass
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(report_module, "simulate", counted)
+    return calls
+
+
+# files of simulate that analyze does not write: the run's own
+_SIMULATE_ONLY = {"trajectory.csv", "resolved_config.json", "plot_results.py"}
+
+
 class TestCliAnalyze:
-    def test_analyze_round_trip(self, tmp_path, capsys):
-        path = write_config(tmp_path, base_config())
+    @pytest.mark.parametrize("name, raw, passes", [
+        ("controller_free", base_config(), 0),
+        ("damper", short_run_config("cooling_sweep.json", 3.0), 0),
+        # the drive-off reference is simulated again
+        ("squeezer", short_run_config("squeezing.json", 2.0), 1),
+    ], ids=["controller_free", "damper", "squeezer"])
+    def test_analyze_round_trip(self, tmp_path, capsys, monkeypatch, name, raw, passes):
+        # analyze writes simulate's report and numeric files byte for byte
+        path = write_config(tmp_path, raw)
         run_out = tmp_path / "run"
         assert main(["simulate", "--config", str(path), "--out", str(run_out)]) == 0
+        capsys.readouterr()
+        calls = counting_simulate(monkeypatch)
         an_out = tmp_path / "analysis"
         assert main(["analyze", str(run_out / "trajectory.csv"),
                      "--out", str(an_out)]) == 0
+        assert calls == [[]] * passes
+        written = sorted(p.name for p in an_out.iterdir())
+        assert written == sorted(p.name for p in run_out.iterdir() if p.name not in _SIMULATE_ONLY)
+        assert (an_out / "report.json").read_text() == (run_out / "report.json").read_text()
+        for file in written:
+            assert (an_out / file).read_bytes() == (run_out / file).read_bytes(), file
+        assert capsys.readouterr().out == (run_out / "report.txt").read_text()
         report = json.loads((an_out / "report.json").read_text())
-        assert report["theory"]["f_plus_hz"]["value"] == pytest.approx(238.02, rel=1e-4)
-        direct = json.loads((run_out / "report.json").read_text())
-        assert report["measured"]["t_mode_plus_kelvin"]["value"] == pytest.approx(
-            direct["measured"]["t_mode_plus_kelvin"]["value"], rel=1e-9
-        )
+        if name == "controller_free":
+            assert report["theory"]["f_plus_hz"]["value"] == pytest.approx(238.02, rel=1e-4)
+        else:
+            assert report["controllers"][0]["kind"] == raw["controllers"][0]["kind"]
+        assert ("squeezing" in report) == (name == "squeezer")
+        assert ("quadratures_particle1_reference.csv" in written) == (name == "squeezer")
+
+    def test_controllers_not_redesigned_exit_code(self, tmp_path, capsys):
+        # a snapshot whose sample rate puts the squeezer's mode above the
+        # Nyquist rate: analyze and simulate reject it with the same error
+        run_out = tmp_path / "run"
+        path = write_config(tmp_path, short_run_config("squeezing.json", 2.0))
+        assert main(["simulate", "--config", str(path), "--out", str(run_out)]) == 0
+        trajectory = run_out / "trajectory.csv"
+        raw = embedded_config(trajectory)
+        raw["run"]["sample_rate_hz"] = 400.0
+        replace_embedded_config(trajectory, raw)
+        capsys.readouterr()
+        assert main(["analyze", str(trajectory), "--out", str(tmp_path / "an")]) == 2
+        analyzed = capsys.readouterr()
+        assert analyzed.out == ""
+        assert "'controllers[0]'" in analyzed.err and "'sample_rate_hz'" in analyzed.err
+        assert not (tmp_path / "an" / "report.json").exists()
+        path = write_config(tmp_path, raw, name="edited.json")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 2
+        assert capsys.readouterr().err == analyzed.err
+
+    def test_reference_pass_fault_exit_code(self, tmp_path, capsys, monkeypatch):
+        run_out = tmp_path / "run"
+        path = write_config(tmp_path, short_run_config("squeezing.json", 2.0))
+        assert main(["simulate", "--config", str(path), "--out", str(run_out)]) == 0
+        capsys.readouterr()
+
+        def faulting(*args, **kwargs):
+            assert args[4] == []  # analyze simulates the drive-off reference only
+            raise IntegrationFault("non-finite state", 0.5)
+
+        monkeypatch.setattr(report_module, "simulate", faulting)
+        an_out = tmp_path / "an"
+        assert main(["analyze", str(run_out / "trajectory.csv"), "--out", str(an_out)]) == 3
+        assert capsys.readouterr().err == ("runtime fault: integration fault at t = 0.5 s: "
+                                           "non-finite state\n")
+        assert list(an_out.iterdir()) == []
+
+    def test_squeezer_trajectory_cut_at_a_row_exit_code(self, tmp_path, capsys):
+        # a file cut at a row boundary reads as a shorter run; its reference
+        # pass, simulated from the configuration, is longer
+        run_out = tmp_path / "run"
+        path = write_config(tmp_path, short_run_config("squeezing.json", 2.0))
+        assert main(["simulate", "--config", str(path), "--out", str(run_out)]) == 0
+        lines = (run_out / "trajectory.csv").read_text().splitlines(keepends=True)
+        cut = tmp_path / "cut.csv"
+        cut.write_text("".join(lines[:-100]))
+        capsys.readouterr()
+        assert main(["analyze", str(cut), "--out", str(tmp_path / "an")]) == 2
+        assert capsys.readouterr().err == ("configuration error: the trajectory has 9900 "
+                                           "samples, where its configuration simulates 10000 "
+                                           "for the reference\n")
 
     def test_damaged_trajectory_exit_code(self, tmp_path, capsys):
         n = 8
@@ -755,3 +866,34 @@ class TestCliOut:
             assert "Traceback" not in proc.stderr, (args, out)
             assert f"option '--out': cannot create directory {out}: " in proc.stderr, (args, out)
         assert blocker.read_text() == "kept"
+
+    def test_modes_bad_out_prints_nothing(self, tmp_path, capsys):
+        # --out is made before the report is printed
+        path = write_config(tmp_path, base_config())
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        assert main(["modes", "--config", str(path), "--out", str(blocker)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"option '--out': cannot create directory {blocker}: " in captured.err
+
+    def test_analyze_bad_out_reads_no_trajectory(self, tmp_path, capsys, monkeypatch):
+        # --out is made before a row of the trajectory is read
+        path = write_config(tmp_path, base_config())
+        run_out = tmp_path / "run"
+        assert main(["simulate", "--config", str(path), "--out", str(run_out)]) == 0
+        capsys.readouterr()
+        reads = []
+        read = Trajectory.from_csv.__func__
+
+        def counted(cls, *args, **kwargs):
+            reads.append(args)
+            return read(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Trajectory, "from_csv", classmethod(counted))
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        assert main(["analyze", str(run_out / "trajectory.csv"), "--out", str(blocker)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and reads == []
+        assert f"option '--out': cannot create directory {blocker}: " in captured.err

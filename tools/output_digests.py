@@ -17,7 +17,9 @@ cache:
 The runs, all with --seed 7: `cotrap simulate` of the three configs/ files
 and the three cotrap_bench/inputs/ files, `cotrap sweep --workers 2` of
 configs/cooling_sweep.json, and `cotrap analyze` of the trajectories of
-configs/characterised_pair.json and cotrap_bench/inputs/reanalyze.json.
+configs/characterised_pair.json, configs/squeezing.json (which simulates
+the drive-off reference again), cotrap_bench/inputs/reanalyze.json and the
+sweep's run_002.
 --root runs another checkout's src/ on the same inputs, such as a
 `git archive` of a parent commit.  The manifest has one line per file,
 sorted by path: the digest, two spaces, the path under the run's output
@@ -75,10 +77,12 @@ def runs(root, out):
     run = out / "sweep"
     yield run, ["sweep", "--config", str(root / "configs" / "cooling_sweep.json"),
                 "--seed", "7", "--workers", "2", "--out", str(run)]
-    for name in ("configs-characterised_pair", "inputs-reanalyze"):
+    trajectories = {name: out / "simulate" / name for name in
+                    ("configs-characterised_pair", "configs-squeezing", "inputs-reanalyze")}
+    trajectories["sweep-run_002"] = out / "sweep" / "run_002"
+    for name, written in trajectories.items():
         run = out / "analyze" / name
-        yield run, ["analyze", str(out / "simulate" / name / "trajectory.csv"),
-                    "--out", str(run)]
+        yield run, ["analyze", str(written / "trajectory.csv"), "--out", str(run)]
 
 
 def main(argv=None):
