@@ -22,7 +22,7 @@ from .config import load_config, parse_config, serialize_config
 from .dynamics import Trajectory, write_columns
 from .errors import ConfigError, CotrapError
 # cotrap_bench/tracer.py wraps analyze_trajectory here too; report calls it
-from .report import analyze_trajectory, report_to_text, run_experiment  # noqa: F401
+from .report import analyze_trajectory, report_to_text, run_experiment, simulate_pass  # noqa: F401
 from .trap import mode_structure, stability_params
 
 _PLOT_STUB = """\
@@ -117,21 +117,29 @@ def cmd_modes(args):
     return 0
 
 
-def _write_run_outputs(outdir, cfg, result):
-    """Write what `simulate` writes: _write_result's files and the run's own."""
-    result.trajectory.to_csv(outdir / "trajectory.csv")
-    _write_result(outdir, result)
+def _write_run_outputs(outdir, cfg, trajectory):
+    """Write the files of `simulate` that `analyze` does not: the run's own."""
+    trajectory.to_csv(outdir / "trajectory.csv")
     with open(outdir / "resolved_config.json", "w") as fh:
         fh.write(serialize_config(cfg))
     with open(outdir / "plot_results.py", "w") as fh:
         fh.write(_PLOT_STUB)
 
 
+def _simulate_into(outdir, cfg):
+    """The drive-on pass and the run's own files, then analyze's path."""
+    trajectory = simulate_pass(cfg)
+    _write_run_outputs(outdir, cfg, trajectory)
+    trajectory.v1 = trajectory.v2 = trajectory.forces = None  # written, never read again
+    result = run_experiment(cfg, trajectory)
+    _write_result(outdir, result)
+    return result
+
+
 def cmd_simulate(args):
     cfg = load_config(args.config, seed_override=args.seed)
     out = _outdir(args)
-    result = run_experiment(cfg)
-    _write_run_outputs(out, cfg, result)
+    result = _simulate_into(out, cfg)
     print(report_to_text(result.report), end="")
     print(f"outputs written to {out}")
     return 0
@@ -171,9 +179,7 @@ def _swept(raw, path, value):
 def _sweep_one(raw, path, value, rundir):
     cfg = parse_config(_swept(raw, path, value))
     rundir.mkdir(parents=True, exist_ok=True)
-    result = run_experiment(cfg)
-    _write_run_outputs(rundir, cfg, result)
-    return result.report
+    return _simulate_into(rundir, cfg).report
 
 
 # the report's "measured" entries that sweep.csv tabulates
@@ -268,7 +274,7 @@ def cmd_analyze(args):
     snap = traj.meta.get("config")
     if snap is None:
         raise ConfigError(f"{args.trajectory} carries no embedded configuration")
-    result = run_experiment(parse_config(snap), trajectory=traj)
+    result = run_experiment(parse_config(snap), traj)
     _write_result(out, result)
     print(report_to_text(result.report), end="")
     return 0

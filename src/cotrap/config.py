@@ -380,7 +380,7 @@ def parse_config(raw, seed_override=None):
 
 
 def _resolve_raw(raw, run, noise, detection):
-    """Raw config with derived values (seeds, damping rates) made explicit."""
+    """Raw config with the derived run, noise and detection seeds made explicit."""
     out = json.loads(json.dumps(raw))
     out["run"]["seed"] = run.seed
     out["noise"]["seed"] = noise.seed

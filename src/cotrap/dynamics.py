@@ -142,7 +142,7 @@ class Trajectory:
     the run's store_every).  `y` is the in-loop detector record and
     `forces` has one row per controller; both are None/empty for
     controller-free runs.  `meta` holds the seeds, integrator name and
-    timestep; run_experiment adds the resolved configuration as
+    timestep; report.simulate_pass adds the resolved configuration as
     meta["config"].  from_csv can leave v1, v2 and forces None, and such a
     trajectory is not written back by to_csv.
     """
@@ -258,6 +258,12 @@ class Trajectory:
         )
 
 
+def stored_samples(duration, sample_rate, store_every):
+    """How many samples simulate stores: rounded, or the float when not finite."""
+    n = duration * sample_rate / store_every
+    return int(round(n)) if math.isfinite(n) else n
+
+
 def simulate(trap, p1, p2, noise, controllers=(), *, duration, dt, sample_rate,
              detection=None, initial_state=None, store_every=1,
              coulomb_coupling=True):
@@ -312,12 +318,11 @@ def simulate(trap, p1, p2, noise, controllers=(), *, duration, dt, sample_rate,
             f"({detection.sample_rate} != {sample_rate})"
         )
 
-    n_stored_f = duration * sample_rate / store_every
+    n_stored = stored_samples(duration, sample_rate, store_every)
     too_long = (f"duration {duration} s needs "
-                f"{8.0 * (5 + len(controllers)) * n_stored_f:.4g} bytes of output arrays")
-    if not math.isfinite(n_stored_f):
+                f"{8.0 * (5 + len(controllers)) * n_stored:.4g} bytes of output arrays")
+    if not math.isfinite(n_stored):
         raise ConfigError(too_long)
-    n_stored = int(round(n_stored_f))
     if n_stored < 1:
         raise ConfigError("duration too short for one stored sample")
     n_samples = n_stored * store_every

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 from . import analysis as ana
 from .constants import K_B
-from .dynamics import simulate
+from .dynamics import simulate, stored_samples
 from .errors import AnalysisError, ConfigError
 from .feedback import _MODE_KEYS, design_controller, parametric_threshold
 from .trap import mode_structure
 
-__all__ = ["ExperimentResult", "resolve_controllers", "run_experiment",
+__all__ = ["ExperimentResult", "resolve_controllers", "simulate_pass", "run_experiment",
            "analyze_trajectory", "report_to_text"]
 
 
@@ -32,7 +32,6 @@ def entry(value, sigma=None):
 
 @dataclass
 class ExperimentResult:
-    trajectory: object
     report: dict
     psds: dict
     quadratures: dict
@@ -52,34 +51,34 @@ def resolve_controllers(config, modes):
     return designed
 
 
-def run_experiment(config, trajectory=None):
-    """Simulate, analyze, and report one configured run.
+def simulate_pass(config, controllers=None):
+    """simulate() the configured run, meta["config"] its resolved configuration:
+    the drive-on pass, or with controllers=[] the drive-off reference."""
+    trap, (p1, p2), run = config.trap, config.particles, config.run
+    if controllers is None:
+        controllers = resolve_controllers(config, mode_structure(trap, p1, p2))
+    trajectory = simulate(trap, p1, p2, config.noise, controllers, duration=run.duration,
+                          dt=run.dt, sample_rate=run.sample_rate, detection=config.detection,
+                          store_every=run.store_every, coulomb_coupling=run.coulomb_coupling)
+    trajectory.meta["config"] = config.resolved
+    return trajectory
 
-    trajectory is the drive-on pass when it is at hand (`cotrap analyze`),
-    else it is simulated.  When a parametric squeezer is configured, a
-    drive-off run with identical seeds provides the thermal reference for
-    the squeezing figures, so a stored run gets the report it was written with.
-    """
-    trap = config.trap
-    p1, p2 = config.particles
+
+def run_experiment(config, trajectory):
+    """Analyze and report the drive-on pass of a configured run, which must
+    hold the samples its configuration stores (a file cut at a row does not).
+    A squeezer is measured against a drive-off pass with identical seeds, so
+    a stored run gets the report it was written with."""
+    trap, (p1, p2), run = config.trap, config.particles, config.run
     modes = mode_structure(trap, p1, p2)
     controllers = resolve_controllers(config, modes)
-    run = config.run
-    sim = dict(duration=run.duration, dt=run.dt, sample_rate=run.sample_rate,
-               detection=config.detection, store_every=run.store_every,
-               coulomb_coupling=run.coulomb_coupling)
-    if trajectory is None:
-        trajectory = simulate(trap, p1, p2, config.noise, controllers, **sim)
-        trajectory.meta["config"] = config.resolved
-    reference = None
-    if any(c.kind == "parametric_squeezer" for c in controllers):
-        reference = simulate(trap, p1, p2, config.noise, [], **sim)
-        if len(reference.z1) != len(trajectory.z1):  # a stored file cut at a row
-            raise ConfigError(f"the trajectory has {len(trajectory.z1)} samples, where its "
-                              f"configuration simulates {len(reference.z1)} for the reference")
-    # analyze_trajectory returns the report, psds and quadratures, in field order
-    return ExperimentResult(trajectory, *analyze_trajectory(
-        trajectory, modes, p1, p2, config.analysis, controllers=controllers, reference=reference))
+    n = stored_samples(run.duration, run.sample_rate, run.store_every)
+    if len(trajectory.z1) != n:
+        raise ConfigError(f"the trajectory has {len(trajectory.z1)} samples, where its "
+                          f"configuration stores {n}")
+    squeezed = any(c.kind == "parametric_squeezer" for c in controllers)
+    return analyze_trajectory(trajectory, modes, p1, p2, config.analysis, controllers=controllers,
+                              reference=simulate_pass(config, []) if squeezed else None)
 
 
 def _mode_effective_mass(modes, which, m1, m2):
@@ -114,7 +113,7 @@ def _nperseg(n, sample_rate, settings):
 
 def analyze_trajectory(traj, modes, p1, p2, settings, controllers=(),
                        reference=None):
-    """Spectral analysis of a run; returns (report, psds, quadratures)."""
+    """Spectral analysis of a run; returns an ExperimentResult."""
     fs = traj.sample_rate
     burn = settings.burn_in if settings.burn_in is not None else traj.duration / 10.0
     i0 = min(int(burn * fs), len(traj.z1) - 2)
@@ -264,7 +263,7 @@ def analyze_trajectory(traj, modes, p1, p2, settings, controllers=(),
                 "reliable": bool(res.reliable),
             }
     _require_finite(report)
-    return report, psds, quads
+    return ExperimentResult(report, psds, quads)
 
 
 def _require_finite(node, name=""):

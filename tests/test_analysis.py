@@ -28,7 +28,7 @@ from cotrap.analysis import (
 )
 from cotrap.config import parse_config
 from cotrap.constants import K_B
-from cotrap.report import run_experiment
+from cotrap.report import run_experiment, simulate_pass
 
 FS = 4096.0
 
@@ -457,8 +457,8 @@ class TestSharedSpectra:
         raw = json.loads(path.read_text())
         raw["run"]["duration_seconds"] = 3.0
         cfg = parse_config(raw)
-        result = run_experiment(cfg)
-        traj, fs = result.trajectory, result.trajectory.sample_rate
+        traj = simulate_pass(cfg)
+        result, fs = run_experiment(cfg, traj), traj.sample_rate
         i0 = min(int(traj.duration / 10.0 * fs), len(traj.z1) - 2)
         modes = result.report["theory"]
         s1 = traj.z1[i0:] - modes["z1_eq_m"]["value"]

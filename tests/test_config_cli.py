@@ -245,13 +245,13 @@ class TestCliModes:
 def simulate_capturing(monkeypatch, path, out):
     """Run `cotrap simulate` and return the in-memory ExperimentResult."""
     captured = []
-    write = cli._write_run_outputs
+    write = cli._write_result
 
-    def capture(outdir, cfg, result):
+    def capture(outdir, result):
         captured.append(result)
-        write(outdir, cfg, result)
+        write(outdir, result)
 
-    monkeypatch.setattr(cli, "_write_run_outputs", capture)
+    monkeypatch.setattr(cli, "_write_result", capture)
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
     return captured[0]
 
@@ -413,16 +413,23 @@ class TestCliSimulate:
     @pytest.mark.parametrize("seconds", [0.4, 0.4236])
     def test_too_short_to_settle_exit_code(self, tmp_path, capsys, seconds):
         # the demodulation filter leaves no steady quadrature sample of the
-        # 0.4 s run and one of the 0.4236 s run, whose variance is 0
+        # 0.4 s run and one of the 0.4236 s run, whose variance is 0; the
+        # run's own files are written before that analysis, and analyze of
+        # the trajectory fails the same way
         raw = json.loads((CONFIG_DIR / "squeezing.json").read_text())
         raw["run"]["duration_seconds"] = seconds
         path = write_config(tmp_path, raw)
+        out, an_out = tmp_path / "x", tmp_path / "an"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 3
-        assert capsys.readouterr().err == ("runtime fault: too few quadrature samples after "
-                                           "filter settling\n")
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert main(["analyze", str(out / "trajectory.csv"), "--out", str(an_out)]) == 3
+        assert err == "runtime fault: too few quadrature samples after filter settling\n"
+        assert capsys.readouterr().err == err
         assert [str(w.message) for w in caught] == []
+        assert {p.name for p in out.iterdir()} == _SIMULATE_ONLY
+        assert list(an_out.iterdir()) == []
 
     def test_only_estimates_must_be_finite(self):
         # an exact entry may be infinite: g = G / G_th is inf when gamma0 = 0
@@ -614,10 +621,10 @@ class TestCliSweep:
         # Forked workers inherit the patched run_experiment.
         run_experiment = cli.run_experiment
 
-        def buggy_at_2_kelvin(cfg):
+        def buggy_at_2_kelvin(cfg, traj):
             if cfg.noise.t0 == 2.0:
                 raise RuntimeError("a bug at 2 K")
-            return run_experiment(cfg)
+            return run_experiment(cfg, traj)
 
         pool = concurrent.futures.ProcessPoolExecutor
         fork = multiprocessing.get_context("fork")
@@ -639,7 +646,9 @@ class TestCliSweep:
             text = (out / "run_001" / "traceback.txt").read_text()
             assert "in buggy_at_2_kelvin" in text and text.endswith("RuntimeError: a bug at 2 K\n")
             assert text in capsys.readouterr().err
-            assert sorted(p.name for p in (out / "run_001").iterdir()) == ["traceback.txt"]
+            # the run's own files are written before its analysis
+            assert sorted(p.name for p in (out / "run_001").iterdir()) == sorted(
+                _SIMULATE_ONLY | {"traceback.txt"})
             for ok in ("run_000", "run_002"):
                 assert (out / ok / "report.json").exists()
                 assert not (out / ok / "traceback.txt").exists()
@@ -794,20 +803,28 @@ class TestCliAnalyze:
                                            "non-finite state\n")
         assert list(an_out.iterdir()) == []
 
-    def test_squeezer_trajectory_cut_at_a_row_exit_code(self, tmp_path, capsys):
-        # a file cut at a row boundary reads as a shorter run; its reference
-        # pass, simulated from the configuration, is longer
+    @pytest.mark.parametrize("raw", [
+        base_config(),
+        short_run_config("cooling_sweep.json", 3.0),
+        short_run_config("squeezing.json", 2.0),
+    ], ids=["controller_free", "damper", "squeezer"])
+    def test_trajectory_cut_at_a_row_exit_code(self, tmp_path, capsys, monkeypatch, raw):
+        # a file cut at a row boundary reads as a shorter run; its
+        # configuration stores more samples, which is checked before any
+        # reference pass
         run_out = tmp_path / "run"
-        path = write_config(tmp_path, short_run_config("squeezing.json", 2.0))
+        path = write_config(tmp_path, raw)
         assert main(["simulate", "--config", str(path), "--out", str(run_out)]) == 0
         lines = (run_out / "trajectory.csv").read_text().splitlines(keepends=True)
         cut = tmp_path / "cut.csv"
         cut.write_text("".join(lines[:-100]))
+        n = sum(not line.startswith("#") for line in lines) - 1  # the rows after the names
         capsys.readouterr()
+        calls = counting_simulate(monkeypatch)
         assert main(["analyze", str(cut), "--out", str(tmp_path / "an")]) == 2
-        assert capsys.readouterr().err == ("configuration error: the trajectory has 9900 "
-                                           "samples, where its configuration simulates 10000 "
-                                           "for the reference\n")
+        assert calls == []
+        assert capsys.readouterr().err == (f"configuration error: the trajectory has {n - 100} "
+                                           f"samples, where its configuration stores {n}\n")
 
     def test_damaged_trajectory_exit_code(self, tmp_path, capsys):
         n = 8

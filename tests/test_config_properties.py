@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from cotrap.config import parse_config, serialize_config
 from cotrap.errors import ConfigError, CotrapError
-from cotrap.report import resolve_controllers, run_experiment
+from cotrap.report import resolve_controllers, run_experiment, simulate_pass
 from cotrap.trap import mode_structure, stability_params
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -98,7 +98,7 @@ def _parses_and_runs_or_raises(raw):
     samples = max(1, min(CUT_SAMPLES, CUT_SUBSTEPS // run.substeps))
     run.duration = min(run.duration, samples / run.sample_rate)
     try:
-        report = run_experiment(cfg).report
+        report = run_experiment(cfg, simulate_pass(cfg)).report
     except CotrapError:
         return
     bad = [x for x in _numbers(report) if not math.isfinite(x)]
