@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print the wall time and peak RSS of each cotrap run at paper scale.
 
-    python3 tools/paper_scale.py [--root CHECKOUT] [--repeat N]
+    python3 tools/paper_scale.py [--root CHECKOUT]
 
 The runs, all with --seed 7: `cotrap simulate` of each configs/ file at its
 full duration, then `cotrap analyze` of the configs/squeezing.json
@@ -11,10 +11,9 @@ ru_maxrss is the child's peak RSS.  On Linux a child started this way is
 credited at exec with the high-water RSS of the process that started it, so
 this launcher imports only the standard library: its own peak, printed
 first, is the floor under every reading.  --root runs another checkout's
-src/ on the same inputs, such as a `git archive` of a parent commit, and
---repeat N makes N rounds of all runs.  A first untimed child builds or
-loads the C kernel, so no run pays its compilation.  No number is pinned:
-times and sizes depend on the host.
+src/ on the same inputs, such as a `git archive` of a parent commit.  A
+first untimed child builds or loads the C kernel, so no run pays its
+compilation.  No number is pinned: times and sizes depend on the host.
 """
 
 import argparse
@@ -51,7 +50,6 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                     help="the checkout whose src/ runs (default: this one)")
-    ap.add_argument("--repeat", type=int, default=1, help="rounds of all runs (default 1)")
     args = ap.parse_args(argv)
     root = args.root.resolve()
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -62,14 +60,12 @@ def main(argv=None):
             sys.exit(f"cotrap does not import from {root / 'src'}:\n{log.read_text()[-2000:]}")
         floor = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         print(f"launcher peak RSS {floor:.1f} MB (the floor under each reading)")
-        for round_ in range(1, args.repeat + 1):
-            for label, cli_args in runs(root, Path(tmp) / "out"):
-                code, wall, rss = spawn(["-m", "cotrap.cli", *cli_args], env, log)
-                if code != 0:
-                    sys.exit(f"cotrap {' '.join(cli_args)} exited with {code}:\n"
-                             f"{log.read_text()[-2000:]}")
-                print(f"round {round_}  {label:<42} wall {wall:6.2f} s  "
-                      f"peak RSS {rss:6.1f} MB", flush=True)
+        for label, cli_args in runs(root, Path(tmp) / "out"):
+            code, wall, rss = spawn(["-m", "cotrap.cli", *cli_args], env, log)
+            if code != 0:
+                sys.exit(f"cotrap {' '.join(cli_args)} exited with {code}:\n"
+                         f"{log.read_text()[-2000:]}")
+            print(f"{label:<42} wall {wall:6.2f} s  peak RSS {rss:6.1f} MB", flush=True)
     return 0
 
 
