@@ -228,9 +228,24 @@ def _sweep_point(value, rundir, future):
         return _sweep_row(value, None, error=exc)
 
 
+def _write_sweep_csv(out, rows):
+    """Write out/sweep.csv through a file that then replaces it whole, so a
+    kill never leaves half a table."""
+    import csv
+
+    # every row starts with value and status; the rest in first-seen order
+    columns = list(dict.fromkeys(key for row in rows for key in row))
+    part = out / "sweep.csv.part"
+    # repr() of every cell; csv quotes the cells that hold a comma
+    with open(part, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([repr(row[c]) if c in row else "" for c in columns] for row in rows)
+    part.replace(out / "sweep.csv")
+
+
 def cmd_sweep(args):
     import concurrent.futures
-    import csv
 
     cfg = load_config(args.config, seed_override=args.seed)
     if cfg.sweep is None:
@@ -250,18 +265,14 @@ def cmd_sweep(args):
     # every point runs in a worker process whatever the worker count, so
     # the rows do not depend on it; a process pool starts all of its
     # workers at the first submit
+    rows = []
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         futures = [pool.submit(_sweep_one, *job) for job in jobs]
-        rows = [_sweep_point(value, rundir, fut)
-                for (_, _, value, rundir), fut in zip(jobs, futures)]
+        # rewritten after every point, so an interrupt keeps the finished rows
+        for (_, _, value, rundir), fut in zip(jobs, futures):
+            rows.append(_sweep_point(value, rundir, fut))
+            _write_sweep_csv(out, rows)
     failures = sum(row["status"] != "ok" for row in rows)
-    # every row starts with value and status; the rest in first-seen order
-    columns = list(dict.fromkeys(key for row in rows for key in row))
-    # repr() of every cell; csv quotes the cells that hold a comma
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([repr(row[c]) if c in row else "" for c in columns] for row in rows)
     print(f"sweep of {cfg.sweep.parameter}: {len(rows) - failures}/{len(rows)} runs ok")
     print(f"aggregated table: {out / 'sweep.csv'}")
     return 4 if failures else 0

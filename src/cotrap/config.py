@@ -164,7 +164,8 @@ _SCHEMA = {
 
 # the gain key of each controller kind, then the keys that kind does not take
 _GAIN_KEYS = {
-    "velocity_damper": ("gamma_fb_rad_per_s", "gain_s2"),
+    "velocity_damper": ("gamma_fb_rad_per_s", "gain_s2", "drive_phase_rad",
+                        "drive_freq_rad_per_s"),
     "parametric_squeezer": ("gain_s2", "gamma_fb_rad_per_s", "delay_samples"),
 }
 

@@ -193,7 +193,9 @@ class Trajectory:
 
     @classmethod
     def from_csv(cls, path, fields=_FIELDS):
-        """Read a file written by to_csv; a damaged file raises ConfigError.
+        """Read a file written by to_csv; a damaged file, or one whose first
+        line is not the '# trajectory-format N' line of this version's N,
+        raises ConfigError.
 
         fields names the array fields to store, z1, z2 and y always among
         them: by default all of them, which is what to_csv writes back.
@@ -209,8 +211,15 @@ class Trajectory:
         meta = {}
         sample_rate = None
         columns = None
+        version = f"trajectory-format {_FORMAT_VERSION}"
         try:
             with open(path, "rb") as fh:
+                line = fh.readline()
+                if line != f"# {version}\n".encode():
+                    found = (line[2:].decode(errors="replace").strip()
+                             if line.startswith(b"# trajectory-format ")
+                             else "no trajectory-format line")
+                    raise ConfigError(f"{path}: {found}, where cotrap reads {version}")
                 while (line := fh.readline()).startswith(b"#"):
                     body = line[1:].decode().strip()
                     if body.startswith("meta = "):

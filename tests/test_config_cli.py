@@ -207,6 +207,11 @@ class TestCliModes:
              "notch_bandwidth_rad_per_s", "controllers[0]"),
             (None, "controllers", [dict(damper, notch=False, notch_bandwidth_rad_per_s=-1)],
              "notch_bandwidth_rad_per_s", "controllers[0]"),
+            # a damper has no parametric drive
+            (None, "controllers", [dict(damper, drive_phase_rad=0.4)],
+             "drive_phase_rad", "controllers[0]"),
+            (None, "controllers", [dict(damper, drive_freq_rad_per_s=100.0)],
+             "drive_freq_rad_per_s", "controllers[0]"),
             # above the Nyquist rate pi * 2500 Hz
             (None, "controllers", [dict(squeezer, drive_freq_rad_per_s=1e9)],
              "drive_freq_rad_per_s", "controllers[0]"),
@@ -659,6 +664,31 @@ class TestCliSweep:
             if (outs[0] / name).is_file() and name.name != "traceback.txt":
                 assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
+    def test_interrupted_sweep_keeps_finished_rows(self, tmp_path, monkeypatch):
+        # sweep.csv is rewritten after every point, so an interrupt while
+        # the third row is collected leaves the first two
+        sweep_point = cli._sweep_point
+        calls = []
+
+        def interrupted_at_third(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return sweep_point(*args)
+
+        monkeypatch.setattr(cli, "_sweep_point", interrupted_at_third)
+        raw = base_config()
+        raw["run"]["duration_seconds"] = 1.0
+        raw["sweep"] = {"parameter": "noise.t0_kelvin", "values": [1.0, 2.0, 3.0, 4.0]}
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "sweep"
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--config", str(path), "--workers", "2", "--out", str(out)])
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["value"], r["status"]) for r in rows] == [("1.0", "'ok'"), ("2.0", "'ok'")]
+        assert sorted(p.name for p in out.iterdir() if p.is_file()) == ["sweep.csv"]
+
     def test_workers_below_one_rejected(self, tmp_path, capsys):
         raw = base_config()
         raw["run"]["duration_seconds"] = 1.0
@@ -825,6 +855,25 @@ class TestCliAnalyze:
         assert calls == []
         assert capsys.readouterr().err == (f"configuration error: the trajectory has {n - 100} "
                                            f"samples, where its configuration stores {n}\n")
+
+    @pytest.mark.parametrize("edit, found", [
+        (lambda lines: ["# trajectory-format 2\n"] + lines[1:], "trajectory-format 2"),
+        (lambda lines: lines[1:], "no trajectory-format line"),
+    ], ids=["other_number", "line_missing"])
+    def test_trajectory_format_checked(self, tmp_path, capsys, edit, found):
+        raw = base_config()
+        raw["run"]["duration_seconds"] = 1.0
+        path = write_config(tmp_path, raw)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+        lines = (tmp_path / "run" / "trajectory.csv").read_text().splitlines(keepends=True)
+        assert lines[0] == "# trajectory-format 1\n"
+        edited = tmp_path / "edited.csv"
+        edited.write_text("".join(edit(lines)))
+        capsys.readouterr()
+        assert main(["analyze", str(edited), "--out", str(tmp_path / "an")]) == 2
+        assert capsys.readouterr().err == (f"configuration error: {edited}: {found}, "
+                                           "where cotrap reads trajectory-format 1\n")
+        assert not (tmp_path / "an" / "report.json").exists()
 
     def test_damaged_trajectory_exit_code(self, tmp_path, capsys):
         n = 8
